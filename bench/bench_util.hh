@@ -242,15 +242,6 @@ histogramJson(const obs::Histogram &h)
     return os.str();
 }
 
-/** Render @p s as a JSON object string. */
-inline std::string
-statSetJson(const StatSet &s)
-{
-    std::ostringstream os;
-    s.toJson(os);
-    return os.str();
-}
-
 inline void
 writeRecordsArray(std::ostream &os, const std::vector<JsonRecord> &records)
 {

@@ -82,15 +82,6 @@ struct AquomanConfig
     {
         return AquomanConfig{};
     }
-
-    /** The paper's AQUOMAN16 setup: 16GB device DRAM. */
-    static AquomanConfig
-    paper16()
-    {
-        AquomanConfig c;
-        c.dramBytes = 16ll << 30;
-        return c;
-    }
 };
 
 } // namespace aquoman

@@ -32,9 +32,6 @@ class DeviceMemoryManager
     std::int64_t usedBytes() const { return used; }
     std::int64_t peakBytes() const { return peak; }
 
-    /** Bytes still allocatable (the service's admission headroom). */
-    std::int64_t freeBytes() const { return capacity - used; }
-
     /**
      * Allocate @p bytes under slot @p name.
      * @return false when the allocation would exceed device DRAM (the

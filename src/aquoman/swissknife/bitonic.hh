@@ -20,8 +20,6 @@ class BitonicSorter
     /** @param vector_size hardware vector length (power of two). */
     explicit BitonicSorter(int vector_size);
 
-    int vectorSize() const { return size; }
-
     /** Pipeline depth: number of compare stages of the network. */
     int numStages() const { return stages; }
 

@@ -82,13 +82,6 @@ class FlashResidentTable
     const Table &table() const { return *tablePtr; }
     const TableLayout &extents() const { return layout; }
 
-    /** Uncompressed on-flash bytes of column @p col for @p rows rows. */
-    std::int64_t
-    columnBytes(int col, std::int64_t rows) const
-    {
-        return rows * columnTypeWidth(tablePtr->col(col).type());
-    }
-
     /**
      * Page-block metadata of column @p col, or nullptr when the
      * column is stored raw.

@@ -52,20 +52,6 @@ columnTypeWidth(ColumnType type)
     return 8;
 }
 
-/** Human-readable name of a column type. */
-inline const char *
-columnTypeName(ColumnType type)
-{
-    switch (type) {
-      case ColumnType::Int32:   return "int32";
-      case ColumnType::Int64:   return "int64";
-      case ColumnType::Date:    return "date";
-      case ColumnType::Decimal: return "decimal";
-      case ColumnType::Varchar: return "varchar";
-    }
-    return "?";
-}
-
 } // namespace aquoman
 
 #endif // AQUOMAN_COMMON_TYPES_HH

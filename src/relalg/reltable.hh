@@ -107,16 +107,6 @@ class RelTable
         return false;
     }
 
-    /** All column names in order. */
-    std::vector<std::string>
-    columnNames() const
-    {
-        std::vector<std::string> out;
-        for (const auto &c : columns)
-            out.push_back(c.name);
-        return out;
-    }
-
     /** Approximate resident bytes of this relation (for RSS models). */
     std::int64_t
     residentBytes() const

@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests for the query profiler: the cost-attribution tree's exact-sum
- * invariants, the determinism contract (profile JSON byte-identical
- * across thread counts and batch modes), the SuspendReason taxonomy,
- * the flight recorder ring, and the debug ledger audits.
+ * invariants (on the tree and on its JSON read back by the report
+ * CLI's reader, for all 22 queries), the determinism contract (profile
+ * JSON byte-identical across thread counts and batch modes), the
+ * SuspendReason taxonomy, the flight recorder ring, and the debug
+ * ledger audits.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,8 @@
 #include "obs/profile.hh"
 #include "tpch/dbgen.hh"
 #include "tpch/queries.hh"
+
+#include "../../tools/report.hh"
 
 namespace aquoman {
 namespace {
@@ -81,13 +85,33 @@ forEachNode(const obs::ProfileNode &n,
         forEachNode(c, fn);
 }
 
+/** @p p's JSON rendering, read back by the report CLI's reader. */
+tools::JsonValue
+readBack(const obs::QueryProfile &p)
+{
+    tools::JsonValue root;
+    std::string error;
+    EXPECT_TRUE(tools::parseJson(p.jsonString(), &root, &error)) << error;
+    return root;
+}
+
+/** Visit the JSON profile tree below @p n in pre-order. */
+void
+forEachJsonNode(const tools::JsonValue &n,
+                const std::function<void(const tools::JsonValue &)> &fn)
+{
+    fn(n);
+    for (const tools::JsonValue &c : tools::elements(n.find("children")))
+        forEachJsonNode(c, fn);
+}
+
 // ---------------------------------------------------------------------
 // Exact-sum invariants
 // ---------------------------------------------------------------------
 
 TEST(ProfileSums, StageSecondsSumExactlyToNodeSeconds)
 {
-    for (int q : {1, 6, 13}) {
+    for (int q = 1; q <= 22; ++q) {
         RunArtifacts run = runQuery(q);
         forEachNode(run.profile.root, [&](const obs::ProfileNode &n) {
             double sum = 0.0;
@@ -96,12 +120,22 @@ TEST(ProfileSums, StageSecondsSumExactlyToNodeSeconds)
             EXPECT_EQ(sum, n.selfSeconds())
                 << "q" << q << " node " << n.name;
         });
+        // The %.17g rendering keeps the sum bitwise: stage_seconds, in
+        // file order, add up to the node's seconds.
+        tools::JsonValue json = readBack(run.profile);
+        forEachJsonNode(*json.find("root"), [&](const tools::JsonValue &n) {
+            double sum = 0.0;
+            for (const auto &[stage, v] : n.find("stage_seconds")->object)
+                sum += v.number;
+            EXPECT_EQ(sum, tools::num(n.find("seconds")))
+                << "q" << q << " JSON node " << tools::strOf(n.find("name"));
+        });
     }
 }
 
 TEST(ProfileSums, TreeTotalReproducesDevicePlusHostSeconds)
 {
-    for (int q : {1, 6, 13}) {
+    for (int q = 1; q <= 22; ++q) {
         RunArtifacts run = runQuery(q);
         const AquomanRunStats &st = run.result.stats;
         HostModel host(HostConfig::large());
@@ -114,6 +148,14 @@ TEST(ProfileSums, TreeTotalReproducesDevicePlusHostSeconds)
         EXPECT_EQ(run.profile.totalSeconds(),
                   st.deviceSeconds + host_phase)
             << "q" << q;
+        // So does the pre-order sum of the rendered node seconds.
+        tools::JsonValue json = readBack(run.profile);
+        double total = 0.0;
+        forEachJsonNode(*json.find("root"), [&](const tools::JsonValue &n) {
+            total += tools::num(n.find("seconds"));
+        });
+        EXPECT_EQ(total, tools::num(json.find("total_seconds"))) << "q" << q;
+        EXPECT_EQ(total, run.profile.totalSeconds()) << "q" << q;
     }
 }
 

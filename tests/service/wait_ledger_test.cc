@@ -27,7 +27,7 @@
 #include "tpch/dbgen.hh"
 #include "tpch/queries.hh"
 
-#include "../../tools/bench_diff_core.hh"
+#include "../../tools/report.hh"
 
 namespace aquoman::service {
 namespace {
@@ -413,9 +413,9 @@ TEST_F(WaitLedgerTest, EmptyServiceRunExportsCleanly)
 
     // The SLO timeline must still be valid JSON with zero rollups.
     std::string slo = svc.sloEngine().jsonString();
-    tools::JsonParser ps(slo);
     tools::JsonValue root;
-    ASSERT_TRUE(tools::parseJsonValue(ps, &root)) << ps.error;
+    std::string error;
+    ASSERT_TRUE(tools::parseJson(slo, &root, &error)) << error;
     const tools::JsonValue *tenants = root.find("tenants");
     ASSERT_NE(tenants, nullptr);
     EXPECT_EQ(tenants->array.size(), 2u);
@@ -435,9 +435,8 @@ TEST_F(WaitLedgerTest, EmptyServiceRunExportsCleanly)
     // export is still valid JSON.
     EXPECT_EQ(obs::SimTracer::global().eventCount(), 0u);
     std::string trace = obs::SimTracer::global().toJson();
-    tools::JsonParser tps(trace);
     tools::JsonValue troot;
-    EXPECT_TRUE(tools::parseJsonValue(tps, &troot)) << tps.error;
+    EXPECT_TRUE(tools::parseJson(trace, &troot, &error)) << error;
 }
 
 } // namespace
