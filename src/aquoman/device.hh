@@ -150,8 +150,8 @@ struct AquomanRunStats
 
     /**
      * Per-operator profile nodes collected from the host-residual
-     * executor when obs::profileCollectionEnabled(); the children
-     * become the host-phase subtree of the query profile.
+     * executor; the children become the host-phase subtree of the
+     * query profile.
      */
     obs::ProfileNode hostOps;
 };

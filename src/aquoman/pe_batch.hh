@@ -41,15 +41,16 @@ namespace aquoman {
 constexpr std::int64_t kPeBatchRows = 16384;
 
 /**
- * Effective batch-morsel row count: kPeBatchRows unless overridden via
- * the AQUOMAN_MORSEL environment variable (clamped to [1024, 1M]).
- * Morsel size is a pure performance knob — results are bit-identical
- * at any value, as the kernels carry no cross-morsel state and the
- * scalar fallback processes rows in order regardless of the split.
+ * Effective batch-morsel row count: kPeBatchRows unless a sweep or test
+ * set another through setPeBatchMorselRows(). Morsel size is a pure
+ * performance knob — results are bit-identical at any value, as the
+ * kernels carry no cross-morsel state and the scalar fallback
+ * processes rows in order regardless of the split.
  */
 std::int64_t peBatchMorselRows();
 
-/** Test hook: force the morsel size (0 restores the env/default). */
+/** Force the morsel size, clamped to [1024, 1M] (0 restores
+ *  kPeBatchRows); used by `--morsel-sweep` and tests. */
 void setPeBatchMorselRows(std::int64_t rows);
 
 /** A systolic-array program compiled for column-at-a-time execution. */

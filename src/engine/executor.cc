@@ -269,8 +269,7 @@ Executor::execNode(const PlanPtr &p,
 {
     obs::SimTracer &tracer = obs::SimTracer::global();
     bool tracing = !traceLabel.empty() && tracer.enabled();
-    bool profiling =
-        profileSink != nullptr && obs::profileCollectionEnabled();
+    bool profiling = profileSink != nullptr;
     if (!tracing && !profiling)
         return execNodeDispatch(p, stages);
     if (tracing && traceTrack < 0)

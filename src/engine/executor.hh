@@ -75,9 +75,9 @@ class Executor
     /**
      * Collect per-operator profile nodes into @p sink: each top-level
      * runPlan() appends one "host-op" subtree (rows in/out plus the
-     * modelled row-op cost) as a child of @p sink. Collection is also
-     * gated on obs::profileCollectionEnabled(); pass nullptr to stop.
-     * The sink must outlive every run routed through this executor.
+     * modelled row-op cost) as a child of @p sink; pass nullptr to
+     * stop. The sink must outlive every run routed through this
+     * executor.
      */
     void setProfileSink(obs::ProfileNode *sink) { profileSink = sink; }
 

@@ -15,7 +15,6 @@
 
 #include "common/stats.hh"
 #include "flash/flash_device.hh"
-#include "obs/metrics.hh"
 
 namespace aquoman {
 
@@ -45,7 +44,6 @@ class ControllerSwitch
         device.read(ext, offset, out, bytes);
         portBytesRead[portIdx(port)].fetch_add(
             bytes, std::memory_order_relaxed);
-        observePort("bytes_read", port, bytes);
     }
 
     /** Write through the switch on behalf of @p port. */
@@ -56,7 +54,6 @@ class ControllerSwitch
         device.write(ext, offset, data, bytes);
         portBytesWritten[portIdx(port)].fetch_add(
             bytes, std::memory_order_relaxed);
-        observePort("bytes_written", port, bytes);
     }
 
     /**
@@ -70,7 +67,6 @@ class ControllerSwitch
     {
         portBytesRead[portIdx(port)].fetch_add(
             bytes, std::memory_order_relaxed);
-        observePort("bytes_read", port, bytes);
     }
 
     /** Account modelled write traffic on @p port (no data movement). */
@@ -79,7 +75,6 @@ class ControllerSwitch
     {
         portBytesWritten[portIdx(port)].fetch_add(
             bytes, std::memory_order_relaxed);
-        observePort("bytes_written", port, bytes);
     }
 
     /** Total bytes read on @p port (real + modelled). */
@@ -138,18 +133,6 @@ class ControllerSwitch
     portName(FlashPort port)
     {
         return port == FlashPort::Host ? "host" : "aquoman";
-    }
-
-    /** Mirror port traffic into the global metrics registry. */
-    void
-    observePort(const char *what, FlashPort port, std::int64_t bytes)
-    {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled()) {
-            reg.add("switch." + device.cfg().name + "."
-                        + portName(port) + "." + what,
-                    static_cast<double>(bytes));
-        }
     }
 
     static int portIdx(FlashPort port) { return static_cast<int>(port); }

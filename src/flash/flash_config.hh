@@ -2,7 +2,7 @@
  * @file
  * Configuration of the simulated NAND flash device. Defaults reproduce
  * the BlueDBM custom flash card used by the AQUOMAN prototype (Sec. VII):
- * 8KB pages, 2.4 GB/s read, 800 MB/s write, command queue of depth 128.
+ * 8KB pages, 2.4 GB/s read, 800 MB/s write.
  */
 
 #ifndef AQUOMAN_FLASH_FLASH_CONFIG_HH
@@ -42,9 +42,6 @@ struct FlashConfig
 
     /** Single page read latency in seconds (typical NAND + transfer). */
     double pageReadLatency = 100e-6;
-
-    /** Depth of the flash command queue (paper: 128). */
-    int commandQueueDepth = 128;
 
     /** Total device capacity in bytes (paper: 1TB; tests shrink this). */
     std::int64_t capacityBytes = 1ll << 40;

@@ -19,7 +19,6 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "flash/flash_config.hh"
-#include "obs/metrics.hh"
 
 namespace aquoman {
 
@@ -78,14 +77,6 @@ class FlashDevice
         nextFreePage += pages;
         if (static_cast<std::int64_t>(pageStore.size()) < nextFreePage)
             pageStore.resize(nextFreePage);
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled()) {
-            reg.set("flash." + config.name + ".allocated_pages",
-                    static_cast<double>(nextFreePage));
-            reg.set("flash." + config.name + ".capacity_used",
-                    static_cast<double>(nextFreePage)
-                        / static_cast<double>(config.numPages()));
-        }
         return ext;
     }
 
@@ -123,16 +114,6 @@ class FlashDevice
         bytesWrittenCtr.fetch_add(bytes, std::memory_order_relaxed);
         pagesWrittenCtr.fetch_add(pages_touched,
                                   std::memory_order_relaxed);
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled()) {
-            reg.add("flash." + config.name + ".bytes_written",
-                    static_cast<double>(bytes));
-            // Command-queue occupancy: one page command per touched
-            // page, clipped to the queue depth the controller exposes.
-            reg.observe("flash." + config.name + ".cmdq_occupancy",
-                        static_cast<double>(std::min<std::int64_t>(
-                            pages_touched, config.commandQueueDepth)));
-        }
     }
 
     /** Read @p bytes at byte offset @p offset inside @p ext. */
@@ -169,14 +150,6 @@ class FlashDevice
         bytesReadCtr.fetch_add(bytes, std::memory_order_relaxed);
         pagesReadCtr.fetch_add(pages_touched,
                                std::memory_order_relaxed);
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled()) {
-            reg.add("flash." + config.name + ".bytes_read",
-                    static_cast<double>(bytes));
-            reg.observe("flash." + config.name + ".cmdq_occupancy",
-                        static_cast<double>(std::min<std::int64_t>(
-                            pages_touched, config.commandQueueDepth)));
-        }
     }
 
     /**

@@ -1,11 +1,9 @@
 #include "obs/latency_anatomy.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
-#include <string_view>
 
 #include "obs/metrics.hh"
 
@@ -201,16 +199,5 @@ BlameMatrix::renderText(std::ostream &os,
     }
     os.unsetf(std::ios::floatfield);
 }
-
-namespace detail {
-
-bool
-waitSegmentGateInit()
-{
-    const char *e = std::getenv("AQUOMAN_WAIT_SEGMENTS");
-    return e == nullptr || std::string_view(e) != "0";
-}
-
-} // namespace detail
 
 } // namespace aquoman::obs

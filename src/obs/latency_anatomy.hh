@@ -38,15 +38,12 @@
  *
  * WaitSegments record the same partition as timestamped intervals;
  * compressed (criticalPath), they are the chain of waits and
- * executions that bounds the query's completion time. Segment
- * collection is gated by AQUOMAN_WAIT_SEGMENTS (default on); the
- * ledger and blame matrix are always maintained.
+ * executions that bounds the query's completion time.
  */
 
 #ifndef AQUOMAN_OBS_LATENCY_ANATOMY_HH
 #define AQUOMAN_OBS_LATENCY_ANATOMY_HH
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -186,34 +183,6 @@ struct BlameMatrix
     void renderText(std::ostream &os,
                     const std::vector<std::string> &tenantNames) const;
 };
-
-namespace detail {
-
-/** Reads AQUOMAN_WAIT_SEGMENTS once (default on; "0" disables). */
-bool waitSegmentGateInit();
-
-inline std::atomic<bool> waitSegmentGate{waitSegmentGateInit()};
-
-} // namespace detail
-
-/**
- * Global wait-segment collection gate, analogous to
- * profileCollectionEnabled(): a relaxed atomic initialised from
- * AQUOMAN_WAIT_SEGMENTS (default on). Only the timestamped
- * WaitSegment vectors are gated — the WaitLedger and BlameMatrix are
- * always maintained (they are cheap and feed the bench gates).
- */
-inline bool
-waitSegmentCollectionEnabled()
-{
-    return detail::waitSegmentGate.load(std::memory_order_relaxed);
-}
-
-inline void
-setWaitSegmentCollection(bool on)
-{
-    detail::waitSegmentGate.store(on, std::memory_order_relaxed);
-}
 
 } // namespace aquoman::obs
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace aquoman::obs {
 
@@ -147,97 +146,6 @@ Histogram::toJson(std::ostream &os) const
        << ", \"p99\": " << jsonNumber(quantile(0.99)) << "}";
 }
 
-// =====================================================================
-// MetricsRegistry
-// =====================================================================
-
-MetricsRegistry::MetricsRegistry()
-{
-    const char *env = std::getenv("AQUOMAN_METRICS");
-    if (env && env[0] && env[0] != '0')
-        on.store(true, std::memory_order_relaxed);
-}
-
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry reg;
-    return reg;
-}
-
-void
-MetricsRegistry::add(const std::string &name, double delta)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    counters[name] += delta;
-}
-
-void
-MetricsRegistry::set(const std::string &name, double value)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    gauges[name] = value;
-}
-
-void
-MetricsRegistry::observe(const std::string &name, double value)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    histograms[name].record(value);
-}
-
-double
-MetricsRegistry::counter(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = counters.find(name);
-    return it == counters.end() ? 0.0 : it->second;
-}
-
-double
-MetricsRegistry::gauge(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = gauges.find(name);
-    return it == gauges.end() ? 0.0 : it->second;
-}
-
-Histogram
-MetricsRegistry::histogram(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = histograms.find(name);
-    return it == histograms.end() ? Histogram{} : it->second;
-}
-
-void
-MetricsRegistry::toJson(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    os << "{\"counters\": {";
-    bool first = true;
-    for (const auto &[k, v] : counters) {
-        os << (first ? "" : ", ") << '"' << jsonEscape(k)
-           << "\": " << jsonNumber(v);
-        first = false;
-    }
-    os << "}, \"gauges\": {";
-    first = true;
-    for (const auto &[k, v] : gauges) {
-        os << (first ? "" : ", ") << '"' << jsonEscape(k)
-           << "\": " << jsonNumber(v);
-        first = false;
-    }
-    os << "}, \"histograms\": {";
-    first = true;
-    for (const auto &[k, h] : histograms) {
-        os << (first ? "" : ", ") << '"' << jsonEscape(k) << "\": ";
-        h.toJson(os);
-        first = false;
-    }
-    os << "}}";
-}
-
 std::string
 promLabelEscape(const std::string &s)
 {
@@ -280,114 +188,6 @@ labeledMetric(const std::string &name,
     }
     out += '}';
     return out;
-}
-
-namespace {
-
-std::string
-promName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-            || (c >= '0' && c <= '9') || c == '_' || c == ':';
-        out += ok ? c : '_';
-    }
-    return out;
-}
-
-/** A registry key split into sanitised metric name + label block. */
-struct PromKey
-{
-    std::string name;   ///< sanitised base name
-    std::string labels; ///< "{...}" incl. braces, or empty
-    bool valid = false; ///< name matches [a-zA-Z_:][a-zA-Z0-9_:]*
-};
-
-PromKey
-splitPromKey(const std::string &key)
-{
-    PromKey out;
-    std::string base = key;
-    auto brace = key.find('{');
-    // Label blocks come from labeledMetric(), whose values are
-    // already escaped; a block with a raw newline or no closing
-    // brace is hostile and falls back to a fully sanitised flat name.
-    if (brace != std::string::npos && key.back() == '}'
-            && key.find('\n', brace) == std::string::npos) {
-        base = key.substr(0, brace);
-        out.labels = key.substr(brace);
-    }
-    out.name = promName(base);
-    // promName leaves only [a-zA-Z0-9_:]; the name is still invalid
-    // when empty or when it starts with a digit.
-    out.valid = !out.name.empty()
-        && !(out.name[0] >= '0' && out.name[0] <= '9');
-    return out;
-}
-
-/** `name{existing,quantile="q"}` — merge a quantile into the block. */
-std::string
-withQuantile(const PromKey &k, const char *q)
-{
-    std::string out = k.name;
-    if (k.labels.empty()) {
-        out += "{quantile=\"";
-    } else {
-        out += k.labels.substr(0, k.labels.size() - 1);
-        out += ",quantile=\"";
-    }
-    out += q;
-    out += "\"}";
-    return out;
-}
-
-} // namespace
-
-void
-MetricsRegistry::toPrometheus(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    for (const auto &[k, v] : counters) {
-        PromKey pk = splitPromKey(k);
-        if (!pk.valid)
-            continue;
-        os << "# TYPE " << pk.name << " counter\n"
-           << pk.name << pk.labels << " " << jsonNumber(v) << "\n";
-    }
-    for (const auto &[k, v] : gauges) {
-        PromKey pk = splitPromKey(k);
-        if (!pk.valid)
-            continue;
-        os << "# TYPE " << pk.name << " gauge\n"
-           << pk.name << pk.labels << " " << jsonNumber(v) << "\n";
-    }
-    for (const auto &[k, h] : histograms) {
-        PromKey pk = splitPromKey(k);
-        if (!pk.valid)
-            continue;
-        os << "# TYPE " << pk.name << " summary\n";
-        constexpr std::pair<const char *, double> kQuantiles[] = {
-            {"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}};
-        for (const auto &[label, q] : kQuantiles) {
-            os << withQuantile(pk, label) << " "
-               << jsonNumber(h.quantile(q)) << "\n";
-        }
-        os << pk.name << "_sum" << pk.labels << " "
-           << jsonNumber(h.sum()) << "\n"
-           << pk.name << "_count" << pk.labels << " " << h.count()
-           << "\n";
-    }
-}
-
-void
-MetricsRegistry::clear()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    counters.clear();
-    gauges.clear();
-    histograms.clear();
 }
 
 } // namespace aquoman::obs

@@ -1,23 +1,16 @@
 /**
  * @file
- * Process-wide metrics: named counters, gauges and log-bucketed latency
- * histograms with JSON and Prometheus-text exposition. All values live
- * in modelled simulation time / modelled bytes, so for a deterministic
- * run the registry contents are bit-identical for every AQUOMAN_THREADS.
- *
- * The registry is disabled by default; every instrumentation site must
- * guard with enabled() (a relaxed atomic load) so the disabled cost is
- * one predictable branch. Enable programmatically or by setting
- * AQUOMAN_METRICS=1 in the environment.
+ * Metric building blocks shared by the SLO engine's time-series store,
+ * the SLO and anatomy JSON and the bench reports: a log-bucketed
+ * histogram whose quantiles do not depend on sample order, labeled
+ * series keys, and exact JSON number / string rendering.
  */
 
 #ifndef AQUOMAN_OBS_METRICS_HH
 #define AQUOMAN_OBS_METRICS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -32,16 +25,14 @@ std::string jsonNumber(double v);
 std::string jsonEscape(const std::string &s);
 
 /**
- * Escape a Prometheus label value: backslash, double quote and newline
- * become \\, \" and \n per the text exposition format.
+ * Escape a label value: backslash, double quote and newline become
+ * \\, \" and \n, as in the Prometheus text format.
  */
 std::string promLabelEscape(const std::string &s);
 
 /**
- * Canonical registry key for a labeled metric:
- * `name{key="escaped value",...}`. toPrometheus() recognises the
- * brace-suffixed form and emits the label block verbatim (values are
- * already escaped here), merging histogram quantile labels into it.
+ * Canonical series key for a labeled metric:
+ * `name{key="escaped value",...}`, labels in the order given.
  */
 std::string labeledMetric(
     const std::string &name,
@@ -90,69 +81,6 @@ class Histogram
     double total = 0.0;
     double lo = 0.0;
     double hi = 0.0;
-};
-
-/**
- * Process-wide registry of named counters, gauges and histograms.
- * Thread-safe; names are sorted on exposition so output order never
- * depends on registration order.
- */
-class MetricsRegistry
-{
-  public:
-    /** The process-wide instance (reads AQUOMAN_METRICS on first use). */
-    static MetricsRegistry &global();
-
-    /** Cheap hot-path guard: call sites must check before building
-     *  metric names or values. */
-    bool
-    enabled() const
-    {
-        return on.load(std::memory_order_relaxed);
-    }
-
-    void setEnabled(bool e) { on.store(e, std::memory_order_relaxed); }
-
-    /** Add @p delta to counter @p name (creating it at zero). */
-    void add(const std::string &name, double delta);
-
-    /** Set gauge @p name to @p value. */
-    void set(const std::string &name, double value);
-
-    /** Record @p value into histogram @p name. */
-    void observe(const std::string &name, double value);
-
-    double counter(const std::string &name) const;
-    double gauge(const std::string &name) const;
-
-    /** Copy of histogram @p name (empty histogram if absent). */
-    Histogram histogram(const std::string &name) const;
-
-    /** {"counters":{..},"gauges":{..},"histograms":{..}} */
-    void toJson(std::ostream &os) const;
-
-    /**
-     * Prometheus text exposition: counters and gauges as single
-     * samples, histograms as summaries (quantile labels + _sum/_count).
-     * Metric names are sanitised to [a-zA-Z0-9_:]; names that are
-     * still invalid afterwards (empty, or starting with a digit) are
-     * dropped from the exposition. Keys built with labeledMetric()
-     * keep their label block; hostile label blocks (raw newlines,
-     * unterminated braces) fall back to a fully sanitised flat name.
-     */
-    void toPrometheus(std::ostream &os) const;
-
-    /** Drop all metrics (tests; does not change enabled()). */
-    void clear();
-
-  private:
-    MetricsRegistry();
-
-    mutable std::mutex mu;
-    std::atomic<bool> on{false};
-    std::map<std::string, double> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, Histogram> histograms;
 };
 
 } // namespace aquoman::obs

@@ -1,9 +1,7 @@
 #include "obs/profile.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
@@ -301,19 +299,6 @@ QueryProfile::jsonString() const
     return os.str();
 }
 
-std::size_t
-flightRecorderCapacityFromEnv(std::size_t fallback)
-{
-    const char *env = std::getenv("AQUOMAN_FLIGHT_EVENTS");
-    if (!env || !env[0])
-        return fallback;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0)
-        return fallback;
-    return static_cast<std::size_t>(v);
-}
-
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring(capacity ? capacity : 1)
 {
@@ -406,15 +391,6 @@ auditLedgers(const LedgerAudit &a, std::string *error)
         }
     }
     return true;
-}
-
-bool
-detail::profileGateInit()
-{
-    const char *env = std::getenv("AQUOMAN_PROFILE");
-    // Collection defaults on: it only materialises nodes when a caller
-    // installs a sink, so the ambient cost is one relaxed load.
-    return !(env && env[0] == '0' && env[1] == '\0');
 }
 
 } // namespace aquoman::obs

@@ -25,7 +25,6 @@
 #ifndef AQUOMAN_OBS_PROFILE_HH
 #define AQUOMAN_OBS_PROFILE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -188,13 +187,6 @@ struct FlightEvent
  * (and mirrored as trace instants) only when something goes wrong —
  * a suspension or an admission/allocation failure.
  */
-/**
- * Ring capacity for service flight recorders: AQUOMAN_FLIGHT_EVENTS
- * when set to a positive integer, else @p fallback. Values that fail
- * to parse (or are <= 0) fall back silently.
- */
-std::size_t flightRecorderCapacityFromEnv(std::size_t fallback = 256);
-
 class FlightRecorder
 {
   public:
@@ -253,33 +245,6 @@ struct LedgerAudit
  * violated invariant. Callers run this under !NDEBUG builds.
  */
 bool auditLedgers(const LedgerAudit &a, std::string *error);
-
-namespace detail {
-
-/** Reads AQUOMAN_PROFILE once (default on). */
-bool profileGateInit();
-
-inline std::atomic<bool> profileGate{profileGateInit()};
-
-} // namespace detail
-
-/**
- * Global profile-collection gate, analogous to MetricsRegistry's
- * enabled flag: a relaxed atomic initialised from AQUOMAN_PROFILE
- * (default on). Hot paths check it before building ProfileNodes, so
- * the disabled path must stay a single inline relaxed load.
- */
-inline bool
-profileCollectionEnabled()
-{
-    return detail::profileGate.load(std::memory_order_relaxed);
-}
-
-inline void
-setProfileCollection(bool on)
-{
-    detail::profileGate.store(on, std::memory_order_relaxed);
-}
 
 } // namespace aquoman::obs
 

@@ -186,67 +186,6 @@ TimeSeriesStore::jsonString() const
     return os.str();
 }
 
-namespace {
-
-/** Split a labeledMetric() key into base name and "{...}" block. */
-void
-splitKey(const std::string &key, std::string *name, std::string *labels)
-{
-    auto brace = key.find('{');
-    if (brace != std::string::npos && key.back() == '}') {
-        *name = key.substr(0, brace);
-        *labels = key.substr(brace);
-    } else {
-        *name = key;
-        labels->clear();
-    }
-}
-
-std::int64_t
-windowTimestampMs(double start_sec)
-{
-    return static_cast<std::int64_t>(std::llround(start_sec * 1000.0));
-}
-
-} // namespace
-
-void
-TimeSeriesStore::toPrometheus(std::ostream &os) const
-{
-    for (const auto &[key, windows] : counters) {
-        std::string name, labels;
-        splitKey(key, &name, &labels);
-        os << "# TYPE " << name << " counter\n";
-        for (const auto &[idx, v] : windows)
-            os << name << labels << ' ' << jsonNumber(v) << ' '
-               << windowTimestampMs(windowStartSec(idx)) << "\n";
-    }
-    for (const auto &[key, windows] : hists) {
-        std::string name, labels;
-        splitKey(key, &name, &labels);
-        os << "# TYPE " << name << " summary\n";
-        for (const auto &[idx, h] : windows) {
-            std::int64_t ts = windowTimestampMs(windowStartSec(idx));
-            constexpr std::pair<const char *, double> kQuantiles[] = {
-                {"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}};
-            for (const auto &[label, q] : kQuantiles) {
-                os << name;
-                if (labels.empty())
-                    os << "{quantile=\"" << label << "\"}";
-                else
-                    os << labels.substr(0, labels.size() - 1)
-                       << ",quantile=\"" << label << "\"}";
-                os << ' ' << jsonNumber(h.quantile(q)) << ' ' << ts
-                   << "\n";
-            }
-            os << name << "_sum" << labels << ' ' << jsonNumber(h.sum())
-               << ' ' << ts << "\n";
-            os << name << "_count" << labels << ' ' << h.count() << ' '
-               << ts << "\n";
-        }
-    }
-}
-
 void
 TimeSeriesStore::clear()
 {

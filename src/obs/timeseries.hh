@@ -9,9 +9,8 @@
  * engine and the service benches lean on: rollups never depend on
  * AQUOMAN_THREADS.
  *
- * Series are keyed by an exposition-style name built with
- * obs::labeledMetric() (e.g. `slo.completed{tenant="interactive"}`),
- * so the Prometheus renderer can reuse the label block verbatim.
+ * Series are keyed by a name built with obs::labeledMetric()
+ * (e.g. `slo_completed{tenant="interactive"}`).
  */
 
 #ifndef AQUOMAN_OBS_TIMESERIES_HH
@@ -96,21 +95,12 @@ class TimeSeriesStore
     void toJson(std::ostream &os) const;
     std::string jsonString() const;
 
-    /**
-     * Prometheus text exposition with explicit millisecond timestamps
-     * (one sample per window at the window's start). Histogram series
-     * emit quantile samples plus `_sum` / `_count` companion series so
-     * scrape-side rate() and avg() work; counter series emit plain
-     * samples. Series keys keep their labeledMetric() label block.
-     */
-    void toPrometheus(std::ostream &os) const;
-
     void clear();
 
   private:
     double width;
     /// series key -> window index -> value; std::map iteration gives
-    /// the deterministic (sorted) exposition order.
+    /// the deterministic (sorted) JSON order.
     std::map<std::string, std::map<std::int64_t, double>> counters;
     std::map<std::string, std::map<std::int64_t, Histogram>> hists;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <iostream>
 #include <map>
@@ -107,38 +106,17 @@ class TraceGroupScope
     std::int64_t prev = -1;
 };
 
-/** SloConfig with env overrides and per-tenant objectives resolved. */
+/** SloConfig with per-tenant objectives resolved. */
 obs::SloConfig
 resolveSloConfig(const ServiceConfig &c)
 {
     obs::SloConfig s = c.slo;
-    if (const char *env = std::getenv("AQUOMAN_SLO_WINDOW");
-        env && env[0]) {
-        char *end = nullptr;
-        double v = std::strtod(env, &end);
-        if (end != env && *end == '\0' && v > 0.0)
-            s.windowSec = v;
-    }
     if (s.objectives.empty())
         for (const TenantConfig &tc : c.tenants)
             if (tc.sloSec > 0.0)
                 s.objectives.push_back(
                     {tc.name, tc.sloSec, s.defaultAttainment});
     return s;
-}
-
-int
-resolveTraceSampleN(const ServiceConfig &c)
-{
-    int n = c.traceSampleEveryN;
-    if (const char *env = std::getenv("AQUOMAN_TRACE_SAMPLE");
-        env && env[0]) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 0)
-            n = static_cast<int>(v);
-    }
-    return n;
 }
 
 } // namespace
@@ -350,13 +328,13 @@ struct QueryService::Impl
     bool
     sampling() const
     {
-        return traceSampleN > 0 && tracer.enabled();
+        return cfg.traceSampleEveryN > 0 && tracer.enabled();
     }
 
     /**
      * Burn-rate firing from the SLO engine: remember it in the flight
-     * recorder, mirror it as a trace instant (ungrouped — alerts are
-     * never sampled away), and bump the labeled alert counter.
+     * recorder and mirror it as a trace instant (ungrouped — alerts
+     * are never sampled away).
      */
     void
     onSloAlert(const obs::SloAlert &a)
@@ -370,12 +348,6 @@ struct QueryService::Impl
                            "slo-alert", a.atSec,
                            {obs::arg("short_burn", a.shortBurn),
                             obs::arg("long_burn", a.longBurn)});
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled())
-            reg.add(obs::labeledMetric("service.slo_alerts_total",
-                                       {{"tenant", a.tenant},
-                                        {"rule", a.rule}}),
-                    1.0);
     }
 
     /** Append one event to the flight-recorder ring at modelled time. */
@@ -466,8 +438,7 @@ struct QueryService::Impl
                 slo.recordBlame(tenantName(e), tenantName(e), clock,
                                 dur);
             }
-            if (obs::waitSegmentCollectionEnabled())
-                e.rec.waitSegments.push_back(
+            e.rec.waitSegments.push_back(
                     {e.waitClass, e.waitMark, clock, device, detail});
         }
         e.waitMark = clock;
@@ -550,7 +521,7 @@ struct QueryService::Impl
         obs::WaitLedger &w = e.rec.waitLedger;
         for (int iter = 0; iter < 8 && w.total() != total; ++iter)
             w.sec[k] += total - w.total();
-        if (obs::waitSegmentCollectionEnabled() && clock > e.waitMark)
+        if (clock > e.waitMark)
             e.rec.waitSegments.push_back({e.waitClass, e.waitMark,
                                           clock, e.rec.anchorDevice,
                                           "host"});
@@ -587,11 +558,6 @@ struct QueryService::Impl
             tracer.resolveGroup(e.rec.id, /*keep=*/true);
         flightNote("shed", queryLabel(e),
                    "tenant=" + t.cfg.name + " " + why);
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled())
-            reg.add(obs::labeledMetric("service.tenant_shed_total",
-                                       {{"tenant", t.cfg.name}}),
-                    1.0);
         shedIds.push_back(e.rec.id);
         if (onComplete)
             onComplete(e.rec);
@@ -707,15 +673,6 @@ struct QueryService::Impl
         // subtask actually dispatches the query is waiting on devices.
         setWaitClass(e, obs::WaitClass::DeviceBusy);
         slo.recordQueueWait(t.cfg.name, clock, e.rec.queueWaitSec);
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled()) {
-            reg.observe("service.queue_wait_seconds",
-                        e.rec.queueWaitSec);
-            reg.observe(obs::labeledMetric(
-                            "service.tenant_queue_wait_seconds",
-                            {{"tenant", t.cfg.name}}),
-                        e.rec.queueWaitSec);
-        }
         e.rec.anchorDevice = static_cast<int>(
             (e.admissionIdx + cfg.scheduleSeed) % devices.size());
         ++running;
@@ -753,8 +710,7 @@ struct QueryService::Impl
 
         DeviceNode &anchor = *devices[e.rec.anchorDevice];
         Executor ex(catalog_, anchor.sw.get());
-        if (obs::profileCollectionEnabled())
-            ex.setProfileSink(&e.rec.stats.hostOps);
+        ex.setProfileSink(&e.rec.stats.hostOps);
         if (tracer.enabled())
             ex.setTraceLabel(tracePrefix + queryLabel(e));
         e.rec.result = ex.run(e.query);
@@ -914,13 +870,6 @@ struct QueryService::Impl
                         {obs::arg("bytes", sub.bytes),
                          obs::arg("bandwidth_gbps", gbps)});
         }
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled()) {
-            reg.add("service." + deviceName(ev.device) + ".task_seconds",
-                    sub.seconds);
-            reg.add("service." + deviceName(ev.device) + ".tasks_run",
-                    1.0);
-        }
 
         // This hold just ended: queries pending on the device blame
         // the culprit's tenant for the overlap they sat through, and
@@ -982,23 +931,21 @@ struct QueryService::Impl
         e.rec.hostFinishSec = est.runtime + dma_bytes / bw;
         flightNote("host-finish", queryLabel(e),
                    "sec=" + std::to_string(e.rec.hostFinishSec));
-        if (obs::profileCollectionEnabled()) {
-            HostPhaseProfile hp;
-            hp.hostSeconds = est.runtime;
-            hp.dmaSeconds = dma_bytes / bw;
-            hp.dmaBytes = dma_bytes;
-            hp.hostBytes = std::max<std::int64_t>(
-                0, e.rec.hostFinishBytes - dma_bytes);
-            e.rec.profile =
-                buildQueryProfile(e.rec.name, e.comp, e.rec.stats, hp);
-            if (e.rec.suspendReason == obs::SuspendReason::AdmissionDram) {
-                // The admission failure outranks anything the (never
-                // run) device executor could have reported.
-                e.rec.profile.suspend = e.rec.suspendReason;
-                e.rec.profile.root.suspend = e.rec.suspendReason;
-            } else {
-                e.rec.suspendReason = e.rec.profile.suspend;
-            }
+        HostPhaseProfile hp;
+        hp.hostSeconds = est.runtime;
+        hp.dmaSeconds = dma_bytes / bw;
+        hp.dmaBytes = dma_bytes;
+        hp.hostBytes = std::max<std::int64_t>(
+            0, e.rec.hostFinishBytes - dma_bytes);
+        e.rec.profile =
+            buildQueryProfile(e.rec.name, e.comp, e.rec.stats, hp);
+        if (e.rec.suspendReason == obs::SuspendReason::AdmissionDram) {
+            // The admission failure outranks anything the (never run)
+            // device executor could have reported.
+            e.rec.profile.suspend = e.rec.suspendReason;
+            e.rec.profile.root.suspend = e.rec.suspendReason;
+        } else {
+            e.rec.suspendReason = e.rec.profile.suspend;
         }
         if (tracer.enabled()) {
             double end = clock + e.rec.hostFinishSec;
@@ -1037,18 +984,9 @@ struct QueryService::Impl
             // their full span trees; healthy queries survive only the
             // deterministic 1-in-N sample.
             bool keep = e.rec.sloViolated || e.rec.suspendCount > 0 ||
-                        (e.rec.id % traceSampleN == 0);
+                        (e.rec.id % cfg.traceSampleEveryN == 0);
             e.rec.traceKept = keep;
             tracer.resolveGroup(e.rec.id, keep);
-        }
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled()) {
-            reg.observe("service.query_latency_seconds",
-                        e.rec.latencySec());
-            reg.observe(obs::labeledMetric(
-                            "service.tenant_latency_seconds",
-                            {{"tenant", t.cfg.name}}),
-                        e.rec.latencySec());
         }
         if (e.reservedBytes > 0) {
             devices[e.rec.anchorDevice]->dram->free(
@@ -1091,26 +1029,6 @@ struct QueryService::Impl
         // Event queue empty: evaluate the trailing partial window so
         // the timeline is complete up to the final modelled second.
         slo.finish(clock);
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        if (reg.enabled()) {
-            for (std::size_t d = 0; d < devices.size(); ++d) {
-                double util = clock > 0.0
-                    ? devices[d]->busySec / clock : 0.0;
-                reg.set("service." + deviceName(static_cast<int>(d))
-                            + ".busy_seconds",
-                        devices[d]->busySec);
-                reg.set("service." + deviceName(static_cast<int>(d))
-                            + ".utilization",
-                        util);
-                // Labeled twin of the flat gauge: one metric family
-                // with a device label in the Prometheus exposition.
-                reg.set(obs::labeledMetric(
-                            "service.device_utilization",
-                            {{"device",
-                              deviceName(static_cast<int>(d))}}),
-                        util);
-            }
-        }
     }
 
     ServiceConfig cfg;
@@ -1132,14 +1050,13 @@ struct QueryService::Impl
         events;
     std::function<void(const QueryRecord &)> onComplete;
 
-    obs::FlightRecorder flight{obs::flightRecorderCapacityFromEnv(256)};
+    obs::FlightRecorder flight{256};
     std::string lastDump;
     std::int64_t flightDumpCount = 0;
     std::int64_t lastDumpedSeq = -1;
     int flightTrack = -1;
 
     obs::SloEngine slo{resolveSloConfig(cfg)};
-    int traceSampleN = resolveTraceSampleN(cfg);
     int sloTrack = -1;
 
     double clock = 0.0;

@@ -161,7 +161,6 @@ struct ServiceConfig
      * objective per tenant with sloSec > 0 is derived automatically
      * (target = sloSec, attainment = slo.defaultAttainment), so the
      * engine tracks exactly the SLOs admission already reports on.
-     * AQUOMAN_SLO_WINDOW=<seconds> overrides `slo.windowSec`.
      */
     obs::SloConfig slo;
 
@@ -170,9 +169,8 @@ struct ServiceConfig
      * spans; N > 0 keeps full span trees only for queries that
      * violated their SLO, were shed, or suspended, plus the
      * deterministic 1-in-N sample of healthy queries (id % N == 0).
-     * AQUOMAN_TRACE_SAMPLE=<N> overrides. Sampling keys off the
-     * modelled outcome, so the sampled trace is byte-identical across
-     * AQUOMAN_THREADS.
+     * Sampling keys off the modelled outcome, so the sampled trace is
+     * byte-identical across AQUOMAN_THREADS.
      */
     int traceSampleEveryN = 0;
 
@@ -234,8 +232,7 @@ struct QueryRecord
 
     /**
      * The same partition as timestamped intervals (the critical-path
-     * raw material); collected when
-     * obs::waitSegmentCollectionEnabled().
+     * raw material).
      */
     std::vector<obs::WaitSegment> waitSegments;
 
@@ -259,9 +256,8 @@ struct QueryRecord
     EngineMetrics metrics;
 
     /**
-     * EXPLAIN-ANALYZE cost-attribution tree (built when
-     * obs::profileCollectionEnabled(); modelled time only, so it is
-     * byte-identical across AQUOMAN_THREADS / AQUOMAN_BATCH).
+     * EXPLAIN-ANALYZE cost-attribution tree (modelled time only, so
+     * it is byte-identical across AQUOMAN_THREADS / AQUOMAN_BATCH).
      */
     obs::QueryProfile profile;
 

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <limits>
 
-#include <cstdlib>
 
 #include "aquoman/pe_batch.hh"
 #include "common/date.hh"
@@ -40,8 +39,9 @@ checkBatchAgainstScalar(
         ? 0 : static_cast<std::int64_t>(inputs[0].size());
 
     PeBatchKernel kernel(programs, static_cast<int>(inputs.size()));
-    if (kernel.vectorizable())
+    if (kernel.vectorizable()) {
         ASSERT_EQ(kernel.numOutputs(), num_outputs);
+    }
 
     std::vector<const std::int64_t *> in_ptrs;
     for (const auto &col : inputs)
@@ -620,10 +620,8 @@ TEST(PeBatchTest, MorselOverrideClampsAndRestores)
     EXPECT_EQ(peBatchMorselRows(), 1024);
     setPeBatchMorselRows(std::int64_t{1} << 22); // above ceiling
     EXPECT_EQ(peBatchMorselRows(), std::int64_t{1} << 20);
-    setPeBatchMorselRows(0); // back to env/default
-    if (std::getenv("AQUOMAN_MORSEL") == nullptr) {
-        EXPECT_EQ(peBatchMorselRows(), kPeBatchRows);
-    }
+    setPeBatchMorselRows(0); // back to the default
+    EXPECT_EQ(peBatchMorselRows(), kPeBatchRows);
 }
 
 } // namespace

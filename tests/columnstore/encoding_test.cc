@@ -210,11 +210,13 @@ TEST(EncodingProperty, ZoneVerdictsAndCodeDomainEvalAreExact)
                         << s.name << " op "
                         << static_cast<int>(op) << " c " << c;
                     ZoneVerdict v = zoneCompare(p.zone, op, c);
-                    if (v == ZoneVerdict::NonePass)
+                    if (v == ZoneVerdict::NonePass) {
                         EXPECT_EQ(expected, 0) << s.name;
-                    if (v == ZoneVerdict::AllPass)
+                    }
+                    if (v == ZoneVerdict::AllPass) {
                         EXPECT_EQ(expected, p.rows - p.zone.nullCount)
                             << s.name;
+                    }
                 }
             }
         }

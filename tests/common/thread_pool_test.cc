@@ -27,8 +27,9 @@ TEST(SplitRange, CoversRangeInOrderWithBoundedChunks)
     for (std::size_t i = 0; i < chunks.size(); ++i) {
         EXPECT_LT(chunks[i].first, chunks[i].second);
         EXPECT_LE(chunks[i].second - chunks[i].first, 64);
-        if (i)
+        if (i) {
             EXPECT_EQ(chunks[i].first, chunks[i - 1].second);
+        }
     }
 }
 

@@ -1,8 +1,7 @@
 /** @file
  * Unit tests of the observability metrics layer: log-bucketed histogram
- * accuracy and order-independence, registry counters/gauges/histograms,
- * the JSON and Prometheus expositions, and the enabled() gating
- * contract instrumentation sites rely on.
+ * accuracy and order-independence, its JSON form, and the labeled
+ * series keys the time-series store is indexed by.
  */
 
 #include <gtest/gtest.h>
@@ -131,158 +130,6 @@ TEST(HistogramTest, JsonContainsAllFields)
     EXPECT_NE(js.find("\"count\": 2"), std::string::npos) << js;
 }
 
-class MetricsRegistryTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        wasEnabled = MetricsRegistry::global().enabled();
-        MetricsRegistry::global().clear();
-        MetricsRegistry::global().setEnabled(true);
-    }
-
-    void
-    TearDown() override
-    {
-        MetricsRegistry::global().clear();
-        MetricsRegistry::global().setEnabled(wasEnabled);
-    }
-
-    bool wasEnabled = false;
-};
-
-TEST_F(MetricsRegistryTest, CountersAccumulateAndGaugesOverwrite)
-{
-    MetricsRegistry &reg = MetricsRegistry::global();
-    reg.add("svc.bytes", 10.0);
-    reg.add("svc.bytes", 32.0);
-    reg.set("svc.depth", 3.0);
-    reg.set("svc.depth", 7.0);
-    EXPECT_EQ(reg.counter("svc.bytes"), 42.0);
-    EXPECT_EQ(reg.gauge("svc.depth"), 7.0);
-    EXPECT_EQ(reg.counter("absent"), 0.0);
-    EXPECT_EQ(reg.gauge("absent"), 0.0);
-}
-
-TEST_F(MetricsRegistryTest, ObserveFeedsNamedHistogram)
-{
-    MetricsRegistry &reg = MetricsRegistry::global();
-    reg.observe("svc.wait", 1.0);
-    reg.observe("svc.wait", 3.0);
-    Histogram h = reg.histogram("svc.wait");
-    EXPECT_EQ(h.count(), 2);
-    EXPECT_EQ(h.sum(), 4.0);
-    EXPECT_EQ(reg.histogram("absent").count(), 0);
-}
-
-TEST_F(MetricsRegistryTest, JsonExpositionIsSortedAndComplete)
-{
-    MetricsRegistry &reg = MetricsRegistry::global();
-    reg.add("zeta", 1.0);
-    reg.add("alpha", 2.0);
-    reg.set("mid", 5.0);
-    reg.observe("lat", 0.25);
-    std::ostringstream os;
-    reg.toJson(os);
-    std::string js = os.str();
-    EXPECT_NE(js.find("\"counters\""), std::string::npos) << js;
-    EXPECT_NE(js.find("\"gauges\""), std::string::npos) << js;
-    EXPECT_NE(js.find("\"histograms\""), std::string::npos) << js;
-    // std::map iteration: "alpha" precedes "zeta" in the output.
-    EXPECT_LT(js.find("\"alpha\""), js.find("\"zeta\"")) << js;
-}
-
-TEST_F(MetricsRegistryTest, PrometheusExpositionSanitisesNames)
-{
-    MetricsRegistry &reg = MetricsRegistry::global();
-    reg.add("flash.ssd0.bytes_read", 4096.0);
-    reg.observe("service.query latency", 0.5);
-    std::ostringstream os;
-    reg.toPrometheus(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("flash_ssd0_bytes_read 4096"), std::string::npos)
-        << text;
-    EXPECT_NE(text.find("service_query_latency_count 1"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("quantile=\"0.99\""), std::string::npos) << text;
-    // Dotted metric names must not survive sanitisation.
-    EXPECT_EQ(text.find("flash.ssd0"), std::string::npos) << text;
-}
-
-TEST_F(MetricsRegistryTest, PrometheusEscapesHostileLabelValues)
-{
-    MetricsRegistry &reg = MetricsRegistry::global();
-    // A label value carrying every character the exposition format
-    // must escape: backslash, double quote, newline.
-    std::string hostile = "a\\b\"c\nd";
-    reg.set(labeledMetric("service.device_utilization",
-                          {{"device", hostile}}),
-            0.5);
-    std::ostringstream os;
-    reg.toPrometheus(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("service_device_utilization{device="
-                        "\"a\\\\b\\\"c\\nd\"} 0.5"),
-              std::string::npos)
-        << text;
-    // The raw newline must never reach the exposition: every line is
-    // either a comment or "name{labels} value".
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        EXPECT_NE(line.find(' '), std::string::npos) << line;
-    }
-}
-
-TEST_F(MetricsRegistryTest, PrometheusRejectsInvalidMetricNames)
-{
-    MetricsRegistry &reg = MetricsRegistry::global();
-    // Sanitises to "123_bad": leading digit, not a valid metric name.
-    reg.add("123 bad", 1.0);
-    // Sanitises to the empty string.
-    reg.add("...", 2.0);
-    reg.add("fine.name", 3.0);
-    std::ostringstream os;
-    reg.toPrometheus(os);
-    std::string text = os.str();
-    EXPECT_EQ(text.find("123_bad"), std::string::npos) << text;
-    EXPECT_NE(text.find("fine_name 3"), std::string::npos) << text;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        char c = line[0];
-        EXPECT_TRUE((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-                    || c == '_' || c == ':')
-            << line;
-    }
-}
-
-TEST_F(MetricsRegistryTest, LabeledHistogramMergesQuantileLabel)
-{
-    MetricsRegistry &reg = MetricsRegistry::global();
-    reg.observe(labeledMetric("svc.latency", {{"device", "ssd0"}}),
-                0.25);
-    std::ostringstream os;
-    reg.toPrometheus(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("svc_latency{device=\"ssd0\","
-                        "quantile=\"0.5\"}"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("svc_latency_count{device=\"ssd0\"} 1"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("svc_latency_sum{device=\"ssd0\"} 0.25"),
-              std::string::npos)
-        << text;
-}
-
 TEST(LabeledMetricTest, BuildsEscapedKey)
 {
     EXPECT_EQ(labeledMetric("m", {{"a", "x"}, {"b", "y\"z"}}),
@@ -290,33 +137,9 @@ TEST(LabeledMetricTest, BuildsEscapedKey)
     EXPECT_EQ(promLabelEscape("plain"), "plain");
     EXPECT_EQ(promLabelEscape("a\nb"), "a\\nb");
     EXPECT_EQ(promLabelEscape("a\\b"), "a\\\\b");
-}
-
-TEST_F(MetricsRegistryTest, ClearDropsValuesButKeepsEnabled)
-{
-    MetricsRegistry &reg = MetricsRegistry::global();
-    reg.add("c", 1.0);
-    reg.set("g", 2.0);
-    reg.observe("h", 3.0);
-    reg.clear();
-    EXPECT_TRUE(reg.enabled());
-    EXPECT_EQ(reg.counter("c"), 0.0);
-    EXPECT_EQ(reg.gauge("g"), 0.0);
-    EXPECT_EQ(reg.histogram("h").count(), 0);
-}
-
-TEST_F(MetricsRegistryTest, EnabledGateIsAdvisoryForCallSites)
-{
-    // The contract is that *call sites* check enabled() before paying
-    // for name construction; the registry itself stays functional
-    // either way so tests can populate it directly.
-    MetricsRegistry &reg = MetricsRegistry::global();
-    reg.setEnabled(false);
-    EXPECT_FALSE(reg.enabled());
-    reg.add("still.works", 1.0);
-    EXPECT_EQ(reg.counter("still.works"), 1.0);
-    reg.setEnabled(true);
-    EXPECT_TRUE(reg.enabled());
+    // Every character the label syntax must escape, in one value.
+    EXPECT_EQ(labeledMetric("m", {{"d", "a\\b\"c\nd"}}),
+              "m{d=\"a\\\\b\\\"c\\nd\"}");
 }
 
 } // namespace

@@ -279,20 +279,10 @@ TEST(ProfileRender, JsonStageSecondsUseStableKeys)
               std::string::npos);
 }
 
-// ---------------------------------------------------------------------
-// Profile collection gate
-// ---------------------------------------------------------------------
-
-TEST(ProfileGate, DisablingCollectionSuppressesHostOps)
+TEST(ProfileRender, HostResidualOperatorsReportHostOps)
 {
-    bool was = obs::profileCollectionEnabled();
-    obs::setProfileCollection(false);
     RunArtifacts run = runQuery(13); // host-heavy query
-    obs::setProfileCollection(was);
-    EXPECT_TRUE(run.result.stats.hostOps.children.empty());
-
-    RunArtifacts collected = runQuery(13);
-    EXPECT_FALSE(collected.result.stats.hostOps.children.empty());
+    EXPECT_FALSE(run.result.stats.hostOps.children.empty());
 }
 
 // ---------------------------------------------------------------------
@@ -347,34 +337,6 @@ TEST(FlightRecorder, OverwriteAccountingAcrossCapacities)
             EXPECT_EQ(events[i].seq, events[i - 1].seq + 1)
                 << "cap " << cap;
     }
-}
-
-TEST(FlightRecorder, CapacityFromEnv)
-{
-    // Helper for restoring whatever AQUOMAN_FLIGHT_EVENTS held.
-    const char *old = std::getenv("AQUOMAN_FLIGHT_EVENTS");
-    std::string saved = old ? old : "";
-
-    unsetenv("AQUOMAN_FLIGHT_EVENTS");
-    EXPECT_EQ(obs::flightRecorderCapacityFromEnv(256), 256u);
-    EXPECT_EQ(obs::flightRecorderCapacityFromEnv(32), 32u);
-
-    setenv("AQUOMAN_FLIGHT_EVENTS", "4096", 1);
-    EXPECT_EQ(obs::flightRecorderCapacityFromEnv(256), 4096u);
-    setenv("AQUOMAN_FLIGHT_EVENTS", "1", 1);
-    EXPECT_EQ(obs::flightRecorderCapacityFromEnv(256), 1u);
-
-    // Garbage, trailing junk, zero and negatives fall back.
-    for (const char *bad : {"abc", "12x", "0", "-5", ""}) {
-        setenv("AQUOMAN_FLIGHT_EVENTS", bad, 1);
-        EXPECT_EQ(obs::flightRecorderCapacityFromEnv(256), 256u)
-            << "value '" << bad << "'";
-    }
-
-    if (old)
-        setenv("AQUOMAN_FLIGHT_EVENTS", saved.c_str(), 1);
-    else
-        unsetenv("AQUOMAN_FLIGHT_EVENTS");
 }
 
 TEST(FlightRecorder, RenderMentionsWhyAndOverwrites)

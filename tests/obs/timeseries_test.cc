@@ -1,10 +1,9 @@
 /** @file
  * Windowed time-series rollup contracts: samples land in the right
  * fixed-width windows, merge() is order-independent (sharded stores
- * render byte-identical JSON however they are combined), the
- * Prometheus exposition carries `_sum` / `_count` companions for
- * histogram series, and Histogram::merge itself is order-independent
- * under a deterministic fuzz of shardings.
+ * render byte-identical JSON however they are combined), and
+ * Histogram::merge itself is order-independent under a deterministic
+ * fuzz of shardings.
  */
 
 #include <gtest/gtest.h>
@@ -163,39 +162,6 @@ TEST(HistogramMerge, OrderIndependenceFuzz)
         fwd.toJson(b);
         EXPECT_EQ(a.str(), b.str()) << "round " << round;
     }
-}
-
-TEST(TimeSeriesStore, PrometheusHistogramCompanions)
-{
-    TimeSeriesStore ts(1.0);
-    std::string key =
-        labeledMetric("slo_latency_seconds", {{"tenant", "t0"}});
-    ts.observe(key, 0.5, 0.1);
-    ts.observe(key, 0.6, 0.3);
-    ts.add(labeledMetric("slo_completed", {{"tenant", "t0"}}), 0.5,
-           2.0);
-
-    std::ostringstream os;
-    ts.toPrometheus(os);
-    std::string text = os.str();
-
-    // Histogram series expose quantiles plus _sum / _count companions
-    // carrying the label block; counters are plain samples.
-    EXPECT_NE(text.find("slo_latency_seconds_sum{tenant=\"t0\"}"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("slo_latency_seconds_count{tenant=\"t0\"}"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("quantile=\"0.99\""), std::string::npos)
-        << text;
-    EXPECT_NE(text.find("slo_completed{tenant=\"t0\"}"),
-              std::string::npos)
-        << text;
-    // One _count sample must carry the window's observation count.
-    EXPECT_NE(text.find("slo_latency_seconds_count{tenant=\"t0\"} 2"),
-              std::string::npos)
-        << text;
 }
 
 TEST(TimeSeriesStore, JsonShapeAndClear)

@@ -6,8 +6,8 @@
  * inversion; per-tenant DRAM quotas gate concurrent admissions at the
  * resolved per-query reservation (the staleness regression); bounded
  * queues shed deterministically — byte-identically across thread
- * counts — and shed queries surface in records, aggregate stats,
- * labeled metrics, and the flight recorder.
+ * counts — and shed queries surface in records, aggregate stats, the
+ * SLO engine's per-tenant series, and the flight recorder.
  */
 
 #include <gtest/gtest.h>
@@ -72,8 +72,6 @@ class AdmissionTest : public ::testing::Test
     {
         ThreadPool::setGlobalParallelism(
             ThreadPool::configuredParallelism());
-        obs::MetricsRegistry::global().setEnabled(false);
-        obs::MetricsRegistry::global().clear();
     }
 };
 
@@ -292,10 +290,6 @@ TEST_F(AdmissionTest, BoundedQueueShedsDeterministicallyAcrossThreads)
 
 TEST_F(AdmissionTest, ShedQueriesSurfaceEverywhere)
 {
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    reg.clear();
-    reg.setEnabled(true);
-
     ServiceConfig cfg;
     cfg.numDevices = 2;
     cfg.admissionLimit = 1;
@@ -333,13 +327,17 @@ TEST_F(AdmissionTest, ShedQueriesSurfaceEverywhere)
     EXPECT_EQ(agg.tenants[0].shed, 2);
     EXPECT_EQ(agg.tenants[0].shedRate, 0.5);
 
-    // Labeled per-tenant metrics recorded the sheds and latencies.
-    EXPECT_EQ(reg.counter(obs::labeledMetric(
-                  "service.tenant_shed_total", {{"tenant", "t0"}})),
+    // The SLO engine's per-tenant series recorded the sheds and the
+    // completed queries' latencies.
+    const obs::TimeSeriesStore &ts = svc.sloEngine().store();
+    EXPECT_EQ(ts.counterInRange(
+                  obs::labeledMetric("slo_shed", {{"tenant", "t0"}}),
+                  ts.firstWindow(), ts.lastWindow()),
               2.0);
-    EXPECT_EQ(reg.histogram(
-                     obs::labeledMetric("service.tenant_latency_seconds",
-                                        {{"tenant", "t0"}}))
+    EXPECT_EQ(ts.histogramInRange(
+                     obs::labeledMetric("slo_latency_seconds",
+                                        {{"tenant", "t0"}}),
+                     ts.firstWindow(), ts.lastWindow())
                   .count(),
               2);
 

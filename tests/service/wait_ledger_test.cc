@@ -5,9 +5,9 @@
  * per-tenant contention totals are byte-identical across
  * AQUOMAN_THREADS x AQUOMAN_BATCH; blame row sums ARE the per-tenant
  * contention totals; shed queries carry structured reasons with
- * all-zero ledgers; wait segments are gated while the ledger is not;
- * and an empty service run exports valid, all-zero observability
- * artifacts.
+ * all-zero ledgers; every query's compressed critical path tiles its
+ * [submit, done] interval; and an empty service run exports valid,
+ * all-zero observability artifacts.
  */
 
 #include <gtest/gtest.h>
@@ -137,7 +137,6 @@ class WaitLedgerTest : public ::testing::Test
     {
         threadsBefore = ThreadPool::configuredParallelism();
         batchBefore = batchExecutionEnabled();
-        segmentsBefore = obs::waitSegmentCollectionEnabled();
         tracerWasEnabled = obs::SimTracer::global().enabled();
     }
 
@@ -146,7 +145,6 @@ class WaitLedgerTest : public ::testing::Test
     {
         ThreadPool::setGlobalParallelism(threadsBefore);
         setBatchExecutionEnabled(batchBefore);
-        obs::setWaitSegmentCollection(segmentsBefore);
         obs::SimTracer::global().clear();
         if (!tracerWasEnabled)
             obs::SimTracer::global().disable();
@@ -154,7 +152,6 @@ class WaitLedgerTest : public ::testing::Test
 
     int threadsBefore = 1;
     bool batchBefore = true;
-    bool segmentsBefore = true;
     bool tracerWasEnabled = false;
 };
 
@@ -316,26 +313,14 @@ TEST_F(WaitLedgerTest, ShedQueriesCarryStructuredReasons)
     EXPECT_EQ(queueFull + quotaShed, stats.shedTotal);
 }
 
-TEST_F(WaitLedgerTest, SegmentsAreGatedLedgerIsNot)
+TEST_F(WaitLedgerTest, CriticalPathTilesEveryQuery)
 {
-    obs::setWaitSegmentCollection(false);
-    auto gated = makeContendedService();
-    submitContended(*gated);
-    for (QueryId id = 0;
-         id < static_cast<QueryId>(gated->numQueries()); ++id) {
-        const QueryRecord &r = gated->record(id);
-        EXPECT_TRUE(r.waitSegments.empty());
-        if (!r.shed)
-            EXPECT_GT(r.waitLedger.total(), 0.0);
-    }
-
-    obs::setWaitSegmentCollection(true);
-    auto open = makeContendedService();
-    submitContended(*open);
+    auto svc = makeContendedService();
+    submitContended(*svc);
     int withSegments = 0;
     for (QueryId id = 0;
-         id < static_cast<QueryId>(open->numQueries()); ++id) {
-        const QueryRecord &r = open->record(id);
+         id < static_cast<QueryId>(svc->numQueries()); ++id) {
+        const QueryRecord &r = svc->record(id);
         if (r.shed || r.waitSegments.empty())
             continue;
         ++withSegments;
