@@ -55,17 +55,10 @@ struct AquomanConfig
     /** Fan-in of each merger layer in the streaming sorter. */
     int sorterMergeFanIn = 256;
 
-    /** Row-Mask Vector circular buffer capacity in bytes. */
-    std::int64_t rowMaskBufferBytes = 256 << 10;
-
-    /** Depth of the flash command queue feeding the pipeline. */
-    int flashQueueDepth = 128;
-
     /**
      * Ratio between the paper's SF-1000 dataset and the simulated one
-     * (1000 / sf). Used by the memory model to size RowID
-     * representations as they would be at the paper's scale while
-     * running functionally on a smaller dataset.
+     * (1000 / sf). The benches record it on the config; no model
+     * reads it.
      */
     double paperScaleRatio = 1.0;
 

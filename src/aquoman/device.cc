@@ -19,7 +19,6 @@
 #include "common/decimal.hh"
 #include "obs/trace.hh"
 #include "relalg/eval.hh"
-#include "relalg/pred_kernel.hh"
 
 namespace aquoman {
 
@@ -631,39 +630,10 @@ struct AquomanDevice::Impl
     }
 
     /**
-     * Gather one visible column at the selected tuple positions only
-     * (no flash accounting; callers charge via chargeGather so the
-     * modelled traffic is independent of the evaluation strategy).
+     * Gather one visible column at an explicit (possibly repeated)
+     * position list only. No flash accounting: callers charge the
+     * full-column gather via chargeGather.
      */
-    RelColumn
-    gatherAt(const DeviceRelation &rel, const std::string &name,
-             const SelectionVector &sel)
-    {
-        const DevCol &dc = resolve(rel, name);
-        std::int64_t n = sel.size();
-        if (dc.dataColIdx >= 0) {
-            const RelColumn &src = rel.dataCols[dc.dataColIdx];
-            RelColumn out(name, src.type);
-            out.heap = src.heap;
-            out.vals->resize(n);
-            for (std::int64_t i = 0; i < n; ++i)
-                (*out.vals)[i] = src.get(sel[i]);
-            return out;
-        }
-        const LeafRef &ref = rel.leafRefs[dc.leafIdx];
-        const Table &t = baseTable(ref.table);
-        const Column &src = t.col(dc.baseColumn);
-        RelColumn out(name, src.type());
-        if (src.type() == ColumnType::Varchar)
-            out.heap = t.stringsPtr();
-        const auto &ids = *rel.rowids[dc.leafIdx];
-        out.vals->resize(n);
-        for (std::int64_t i = 0; i < n; ++i)
-            (*out.vals)[i] = src.get(ids[sel[i]]);
-        return out;
-    }
-
-    /** gatherAt over an explicit (possibly repeated) position list. */
     RelColumn
     gatherAtIdx(const DeviceRelation &rel, const std::string &name,
                 const std::vector<std::int64_t> &pos)
@@ -740,7 +710,7 @@ struct AquomanDevice::Impl
         return out;
     }
 
-    /** RelTable view of the visible columns (for evalPredicate). */
+    /** RelTable view of the visible columns (for predicate evaluation). */
     RelTable
     viewFor(DeviceRelation &rel, const std::vector<std::string> &cols,
             bool account)
@@ -773,18 +743,6 @@ struct AquomanDevice::Impl
     }
 
     // ----------------------------------------------------- leaf scan
-
-    /** Number of top-level AND conjuncts usable by the Row Selector. */
-    static void
-    splitConjuncts(const ExprPtr &e, std::vector<ExprPtr> &out)
-    {
-        if (e->kind == ExprKind::Logic && e->logicOp == LogicOp::And) {
-            splitConjuncts(e->children[0], out);
-            splitConjuncts(e->children[1], out);
-        } else {
-            out.push_back(e);
-        }
-    }
 
     static bool
     selectorEligible(const ExprPtr &e)
@@ -858,11 +816,10 @@ struct AquomanDevice::Impl
                 bool leaf_scan, const std::string &what)
     {
         std::vector<ExprPtr> conjuncts;
-        splitConjuncts(pred, conjuncts);
+        splitAndConjuncts(pred, conjuncts);
         int selector_preds = 0;
         int regex_preds = 0;
         for (const auto &c : conjuncts) {
-            std::vector<const Expr *> likes;
             if (c->kind == ExprKind::Like
                     || (c->kind == ExprKind::Not
                         && c->children[0]->kind == ExprKind::Like)) {
@@ -875,14 +832,13 @@ struct AquomanDevice::Impl
         }
         std::vector<std::string> cols;
         collectColumns(pred, cols);
-        // Both evaluation strategies charge the scan identically,
-        // column by column in predicate order: zone-map pruning and
-        // compressed page-touch when the table is encoded, the raw
-        // page-touch model otherwise. A root-level filter over a
-        // pristine base scan (single-table queries: the filter sits
-        // above the scan, not below a join) still consults the zone
-        // maps — the Row Selector skips NonePass pages — but charges
-        // nothing, matching the oracle's charging sites.
+        // The scan is charged column by column in predicate order:
+        // zone-map pruning and compressed page-touch when the table is
+        // encoded, the raw page-touch model otherwise. A root-level
+        // filter over a pristine base scan (single-table queries: the
+        // filter sits above the scan, not below a join) still consults
+        // the zone maps — the Row Selector skips NonePass pages — but
+        // charges nothing.
         if (leaf_scan) {
             chargeFilterScan(rel, cols, conjuncts);
         } else if (rel.leafRefs.size() == 1
@@ -890,56 +846,14 @@ struct AquomanDevice::Impl
                        == baseTable(rel.leafRefs[0].table).numRows()) {
             chargeFilterScan(rel, cols, conjuncts, false);
         }
-        std::vector<std::int64_t> keep;
-        if (!batchExecutionEnabled()) {
-            // Scalar oracle: materialize every predicate column over
-            // every tuple, evaluate the whole tree at once.
-            RelTable view = viewFor(rel, cols, false);
-            BitVector mask = evalPredicate(pred, view);
-            keep.reserve(mask.popcount());
-            for (std::int64_t i = 0; i < rel.rows; ++i)
-                if (mask.get(i))
-                    keep.push_back(i);
-        } else {
-            // Batched Row Selector: flash already charged above;
-            // short-circuit conjuncts over a shrinking selection.
-            SelectionVector sel = SelectionVector::dense(rel.rows);
-            for (const auto &c : conjuncts) {
-                if (sel.empty())
-                    break;
-                std::vector<std::string> ccols;
-                collectColumns(c, ccols);
-                RelTable view;
-                for (const auto &name : ccols)
-                    view.addColumn(gatherAt(rel, name, sel));
-                if (view.numColumns() == 0) {
-                    // Constant conjunct: one verdict for all rows.
-                    RelTable one;
-                    RelColumn dummy("__sel_rows", ColumnType::Int64);
-                    dummy.push(0);
-                    one.addColumn(std::move(dummy));
-                    RelColumn v = evalExpr(c, one, "pred");
-                    if (v.get(0) == 0 || v.get(0) == kNullValue)
-                        sel = SelectionVector::dense(0);
-                    continue;
-                }
-                // Compiled mask kernel over the gathered view (flash
-                // traffic was charged above, so this only changes CPU
-                // cost); same verdicts as evalPredicate by contract.
-                if (auto kern = ConjunctKernel::tryCompile(c, view)) {
-                    BitVector mask;
-                    ConjunctKernel::Scratch scratch;
-                    kern->evalMask(view, nullptr, 0, view.numRows(),
-                                   mask, scratch);
-                    sel.filter(mask);
-                    continue;
-                }
-                sel.filter(evalPredicate(c, view));
-            }
-            keep = sel.toIndices();
-        }
+        // The Row Selector proper over an uncharged view (flash was
+        // charged above). The selection carries the row count, so a
+        // predicate with no column references needs no columns.
+        RelTable view = viewFor(rel, cols, false);
+        SelectionVector sel = SelectionVector::dense(rel.rows);
+        filterSelection(pred, view, sel);
         std::int64_t before = rel.rows;
-        compact(rel, keep);
+        compact(rel, sel.toIndices());
         stats.taskLog.push_back(
             what + ": rowSel " + std::to_string(selector_preds)
             + " CPE predicate(s), " + std::to_string(regex_preds)
@@ -1334,21 +1248,17 @@ struct AquomanDevice::Impl
             }
             DeviceRelation &side = from_left ? l : r;
             const std::vector<std::int64_t> &idx = from_left ? li : ri;
-            RelColumn cc;
-            if (batchExecutionEnabled()) {
-                // Same modelled charge as the full gather; values are
-                // fetched at the candidate pairs only.
-                chargeGather(side, cname);
-                cc = gatherAtIdx(side, cname, idx);
-            } else {
-                RelColumn full = gather(side, cname, true);
-                cc = RelColumn(cname, full.type);
-                cc.heap = full.heap;
-                cc.vals->reserve(idx.size());
-                for (std::int64_t i : idx)
-                    cc.vals->push_back(full.get(i));
-            }
-            view.addColumn(std::move(cc));
+            // Same modelled charge as the full gather; values are
+            // fetched at the candidate pairs only.
+            chargeGather(side, cname);
+            view.addColumn(gatherAtIdx(side, cname, idx));
+        }
+        if (cols.empty()) {
+            // Constant residual: a placeholder column gives the
+            // column-less view one row per candidate pair.
+            RelColumn placeholder("__pairs", ColumnType::Int64);
+            placeholder.vals->assign(li.size(), 0);
+            view.addColumn(std::move(placeholder));
         }
         BitVector mask = evalPredicate(pred, view);
         for (std::size_t i = 0; i < pass.size(); ++i)

@@ -7,12 +7,10 @@
 #include <unordered_set>
 
 #include "columnstore/selection_vector.hh"
-#include "common/batch_mode.hh"
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "relalg/eval.hh"
-#include "relalg/pred_kernel.hh"
 
 namespace aquoman {
 
@@ -441,90 +439,8 @@ RelTable
 Executor::execFilter(const Plan &p, const RelTable &in)
 {
     trace.rowOps += in.numRows() * (1.0 + exprCost(p.predicate));
-    if (!batchExecutionEnabled()) {
-        // Scalar oracle: evaluate the whole predicate tree over every
-        // row, then build the candidate list. Each morsel collects its
-        // surviving rows locally; concatenating the locals in morsel
-        // order yields exactly the serial ascending row order.
-        BitVector mask = evalPredicate(p.predicate, in);
-        auto morsels =
-            ThreadPool::splitRange(0, in.numRows(), kMorselRows);
-        std::vector<std::vector<std::int64_t>> locals(morsels.size());
-        parallelFor(0, static_cast<std::int64_t>(morsels.size()), 1,
-                    [&](std::int64_t m0, std::int64_t m1) {
-            for (std::int64_t m = m0; m < m1; ++m) {
-                auto [b, e] = morsels[m];
-                std::vector<std::int64_t> &l = locals[m];
-                for (std::int64_t i = b; i < e; ++i)
-                    if (mask.get(i))
-                        l.push_back(i);
-            }
-        });
-        std::vector<std::int64_t> idx;
-        idx.reserve(mask.popcount());
-        for (const auto &l : locals)
-            idx.insert(idx.end(), l.begin(), l.end());
-        return gatherRows(in, idx);
-    }
-    // Batched: conjuncts short-circuit over a shrinking selection, so
-    // each later conjunct touches only surviving rows instead of the
-    // whole relation. Morsel-local survivor lists concatenated in
-    // morsel order keep the ascending row order (and hence results)
-    // bit-identical to the scalar path for any thread count.
-    std::vector<ExprPtr> conjuncts;
-    splitAndConjuncts(p.predicate, conjuncts);
     SelectionVector sel = SelectionVector::dense(in.numRows());
-    for (const ExprPtr &c : conjuncts) {
-        if (sel.empty())
-            break;
-        // Compiled mask kernel where the conjunct is eligible: the
-        // morsel writes verdict words and survivors are extracted by
-        // bit walk, instead of an interpreted pass plus a branch per
-        // row. The mask is bit-identical to evalExprSel's verdicts, so
-        // the surviving row order is unchanged.
-        auto kern = ConjunctKernel::tryCompile(c, in);
-        auto morsels = ThreadPool::splitRange(0, sel.size(), kMorselRows);
-        std::vector<std::vector<std::int64_t>> locals(morsels.size());
-        const std::int64_t *base = sel.data(); // nullptr when dense
-        parallelFor(0, static_cast<std::int64_t>(morsels.size()), 1,
-                    [&](std::int64_t m0, std::int64_t m1) {
-            ConjunctKernel::Scratch scratch;
-            BitVector mask;
-            for (std::int64_t m = m0; m < m1; ++m) {
-                auto [b, e] = morsels[m];
-                const std::int64_t *rows =
-                    base == nullptr ? nullptr : base + b;
-                std::vector<std::int64_t> &l = locals[m];
-                if (kern != nullptr) {
-                    kern->evalMask(in, rows, b, e - b, mask, scratch);
-                    const std::int64_t nw = mask.numWords();
-                    for (std::int64_t w = 0; w < nw; ++w) {
-                        std::uint32_t mw = mask.word(w);
-                        const std::int64_t wb = w * 32;
-                        while (mw != 0) {
-                            l.push_back(sel[b + wb + __builtin_ctz(mw)]);
-                            mw &= mw - 1;
-                        }
-                    }
-                    continue;
-                }
-                RelColumn v = evalExprSel(c, in, rows, b, e - b, "pred");
-                for (std::int64_t j = 0; j < e - b; ++j) {
-                    std::int64_t val = v.get(j);
-                    if (val != 0 && val != kNullValue)
-                        l.push_back(sel[b + j]);
-                }
-            }
-        });
-        std::vector<std::int64_t> next;
-        std::size_t total = 0;
-        for (const auto &l : locals)
-            total += l.size();
-        next.reserve(total);
-        for (const auto &l : locals)
-            next.insert(next.end(), l.begin(), l.end());
-        sel.assign(std::move(next));
-    }
+    filterSelection(p.predicate, in, sel);
     if (sel.isDense() && sel.size() == in.numRows())
         return in; // all rows pass: share columns, materialize nothing
     return gatherRows(in, sel.toIndices());
@@ -593,37 +509,34 @@ Executor::execJoin(const Plan &p, const RelTable &left,
     if (p.residual) {
         std::vector<std::string> need;
         collectColumns(p.residual, need);
+        // Gather only the columns the residual references (names are
+        // disjoint across sides), at the candidate pairs.
+        std::int64_t pairs = static_cast<std::int64_t>(li.size());
         RelTable combined;
-        if (batchExecutionEnabled() && !need.empty()) {
-            // Gather only the columns the residual references (names
-            // are disjoint across sides), at the candidate pairs.
-            std::int64_t pairs = static_cast<std::int64_t>(li.size());
-            for (const auto &cname : need) {
-                bool from_left = left.hasColumn(cname);
-                const RelColumn &src = from_left ? left.col(cname)
-                                                 : right.col(cname);
-                const std::vector<std::int64_t> &idx =
-                    from_left ? li : ri;
-                RelColumn cc(cname, src.type);
-                cc.heap = src.heap;
-                cc.vals->resize(pairs);
-                std::vector<std::int64_t> &vals = *cc.vals;
-                parallelFor(0, pairs, kMorselRows,
-                            [&](std::int64_t k0, std::int64_t k1) {
-                    for (std::int64_t k = k0; k < k1; ++k) {
-                        std::int64_t i = idx[k];
-                        vals[k] = i < 0 ? kNullValue : src.get(i);
-                    }
-                });
-                combined.addColumn(std::move(cc));
-            }
-        } else {
-            RelTable lg = gatherRows(left, li);
-            RelTable rg = gatherRows(right, ri);
-            for (int c = 0; c < lg.numColumns(); ++c)
-                combined.addColumn(lg.col(c));
-            for (int c = 0; c < rg.numColumns(); ++c)
-                combined.addColumn(rg.col(c));
+        for (const auto &cname : need) {
+            bool from_left = left.hasColumn(cname);
+            const RelColumn &src = from_left ? left.col(cname)
+                                             : right.col(cname);
+            const std::vector<std::int64_t> &idx = from_left ? li : ri;
+            RelColumn cc(cname, src.type);
+            cc.heap = src.heap;
+            cc.vals->resize(pairs);
+            std::vector<std::int64_t> &vals = *cc.vals;
+            parallelFor(0, pairs, kMorselRows,
+                        [&](std::int64_t k0, std::int64_t k1) {
+                for (std::int64_t k = k0; k < k1; ++k) {
+                    std::int64_t i = idx[k];
+                    vals[k] = i < 0 ? kNullValue : src.get(i);
+                }
+            });
+            combined.addColumn(std::move(cc));
+        }
+        if (need.empty()) {
+            // Constant residual: a placeholder column gives the
+            // column-less view one row per candidate pair.
+            RelColumn placeholder("__pairs", ColumnType::Int64);
+            placeholder.vals->assign(pairs, 0);
+            combined.addColumn(std::move(placeholder));
         }
         BitVector mask = evalPredicate(p.residual, combined);
         trace.rowOps += li.size() * exprCost(p.residual);

@@ -2,7 +2,8 @@
  * @file
  * Configuration of the simulated NAND flash device. Defaults reproduce
  * the BlueDBM custom flash card used by the AQUOMAN prototype (Sec. VII):
- * 8KB pages, 2.4 GB/s read, 800 MB/s write.
+ * 8KB pages and 2.4 GB/s sequential read. Modelled flash time is bytes
+ * over readBandwidth.
  */
 
 #ifndef AQUOMAN_FLASH_FLASH_CONFIG_HH
@@ -31,45 +32,14 @@ struct FlashConfig
     /** Page access granularity in bytes (paper: 8KB). */
     std::int64_t pageBytes = kFlashPageBytes;
 
-    /** Pages per erase block. */
-    int pagesPerBlock = 256;
-
     /** Sequential read bandwidth in bytes/second (paper: 2.4 GB/s). */
     double readBandwidth = 2.4e9;
-
-    /** Write bandwidth in bytes/second (paper: 800 MB/s). */
-    double writeBandwidth = 0.8e9;
-
-    /** Single page read latency in seconds (typical NAND + transfer). */
-    double pageReadLatency = 100e-6;
 
     /** Total device capacity in bytes (paper: 1TB; tests shrink this). */
     std::int64_t capacityBytes = 1ll << 40;
 
     /** Number of pages the device can hold. */
     std::int64_t numPages() const { return capacityBytes / pageBytes; }
-
-    /**
-     * Time to stream @p bytes sequentially out of flash. The pipeline of
-     * in-flight page reads (command queue) hides per-page latency, so
-     * streaming time is bandwidth-bound with a single leading latency.
-     */
-    double
-    sequentialReadTime(std::int64_t bytes) const
-    {
-        if (bytes <= 0)
-            return 0.0;
-        return pageReadLatency + static_cast<double>(bytes) / readBandwidth;
-    }
-
-    /** Time to write @p bytes sequentially. */
-    double
-    sequentialWriteTime(std::int64_t bytes) const
-    {
-        if (bytes <= 0)
-            return 0.0;
-        return static_cast<double>(bytes) / writeBandwidth;
-    }
 };
 
 } // namespace aquoman

@@ -5,12 +5,19 @@
 
 #include "common/batch_mode.hh"
 #include "common/decimal.hh"
+#include "common/thread_pool.hh"
 #include "relalg/plan.hh"
 #include "relalg/pred_kernel.hh"
 
 namespace aquoman {
 
 namespace {
+
+/**
+ * Selection positions per filterSelection morsel. A selection at or
+ * below one morsel runs inline on the calling thread.
+ */
+constexpr std::int64_t kMorselRows = 16384;
 
 /** Is this a numeric type that participates in decimal promotion? */
 bool
@@ -450,54 +457,123 @@ filterSelection(const ExprPtr &pred, const RelTable &input,
     std::vector<std::unique_ptr<ConjunctKernel>> kernels(conjuncts.size());
     for (std::size_t i = 0; i < conjuncts.size(); ++i)
         kernels[i] = ConjunctKernel::tryCompile(conjuncts[i], input);
-    ConjunctKernel::Scratch scratch;
 
-    // Phase A: while the selection is still dense, AND-fold the masks
-    // of every cheap compiled conjunct (bare compares: one streaming
-    // pass each, no gather) word-wise, then materialize survivors
-    // once. Evaluating these out of order is sound because conjunct
-    // verdicts are pure and per-row — NULL fails a comparison on both
-    // paths — so AND order changes cost, never the surviving set.
-    std::vector<bool> folded(conjuncts.size(), false);
-    if (sel.isDense() && !sel.empty()) {
-        BitVector acc, m;
-        bool any = false;
-        for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-            if (kernels[i] == nullptr || !kernels[i]->cheap())
-                continue;
-            BitVector &dst = any ? m : acc;
-            kernels[i]->evalMask(input, nullptr, 0, sel.size(), dst,
-                                 scratch);
+    // Selection positions [b, e) through every conjunct. Returns true
+    // when all of them survive; otherwise @p out holds the surviving
+    // row ids, ascending. The morsel's live rows are its slice of
+    // @p sel (the dense range [first, first + n) when rows is nullptr)
+    // until a conjunct drops one, and @p out from then on.
+    auto run_morsel = [&](std::int64_t b, std::int64_t e,
+                          ConjunctKernel::Scratch &scratch,
+                          BitVector &acc, BitVector &mask,
+                          std::vector<std::int64_t> &out) {
+        const std::int64_t *rows =
+            sel.isDense() ? nullptr : sel.data() + b;
+        std::int64_t first = b;
+        std::int64_t n = e - b;
+        bool whole = true;
+        auto keep = [&](const BitVector &m) {
+            const std::int64_t kept = m.popcount();
+            if (kept == n)
+                return;
+            std::vector<std::int64_t> next;
+            next.reserve(kept);
+            for (std::int64_t w = 0; w < m.numWords(); ++w) {
+                std::uint32_t bits = m.word(w);
+                while (bits != 0) {
+                    std::int64_t pos = w * 32 + __builtin_ctz(bits);
+                    next.push_back(rows ? rows[pos] : first + pos);
+                    bits &= bits - 1;
+                }
+            }
+            out = std::move(next);
+            rows = out.data();
+            first = 0;
+            n = kept;
+            whole = false;
+        };
+
+        // Phase A: while the selection is still dense, AND-fold the
+        // masks of every cheap compiled conjunct (bare compares: one
+        // streaming pass each, no gather) word-wise, then materialize
+        // survivors once. Evaluating these out of order is sound
+        // because conjunct verdicts are pure and per-row — NULL fails
+        // a comparison on both paths — so AND order changes cost,
+        // never the surviving set.
+        std::vector<bool> folded(conjuncts.size(), false);
+        if (rows == nullptr) {
+            bool any = false;
+            for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+                if (kernels[i] == nullptr || !kernels[i]->cheap())
+                    continue;
+                kernels[i]->evalMask(input, nullptr, first, n,
+                                     any ? mask : acc, scratch);
+                if (any)
+                    acc.andWith(mask);
+                any = true;
+                folded[i] = true;
+            }
             if (any)
-                acc.andWith(m);
-            any = true;
-            folded[i] = true;
+                keep(acc);
         }
-        if (any)
-            sel.filter(acc);
-    }
 
-    // Phase B: remaining conjuncts in original order over the
-    // shrinking selection — compiled kernels where eligible, the
-    // reference evaluator otherwise.
-    BitVector mask;
-    for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-        if (folded[i])
-            continue;
-        if (sel.empty())
-            break;
-        std::int64_t n = sel.size();
-        if (kernels[i] != nullptr) {
-            kernels[i]->evalMask(input, sel.data(), 0, n, mask, scratch);
-        } else {
-            RelColumn v = evalExprSel(conjuncts[i], input, sel.data(), 0,
-                                      n, "pred");
-            mask.resize(n);
-            for (std::int64_t r = 0; r < n; ++r)
-                mask.set(r, v.get(r) != 0 && v.get(r) != kNullValue);
+        // Phase B: remaining conjuncts in original order over the
+        // shrinking selection — compiled kernels where eligible, the
+        // reference evaluator otherwise.
+        for (std::size_t i = 0; i < conjuncts.size() && n > 0; ++i) {
+            if (folded[i])
+                continue;
+            if (kernels[i] != nullptr) {
+                kernels[i]->evalMask(input, rows, first, n, mask,
+                                     scratch);
+            } else {
+                RelColumn v = evalExprSel(conjuncts[i], input, rows,
+                                          first, n, "pred");
+                mask.resize(n);
+                for (std::int64_t r = 0; r < n; ++r)
+                    mask.set(r, v.get(r) != 0 && v.get(r) != kNullValue);
+            }
+            keep(mask);
         }
-        sel.filter(mask);
+        return whole;
+    };
+
+    // Morsels run independently; each one's survivors are ascending
+    // and morsels are disjoint ascending slices, so concatenating in
+    // morsel order reproduces the serial row order for any thread
+    // count.
+    auto morsels = ThreadPool::splitRange(0, sel.size(), kMorselRows);
+    std::vector<std::vector<std::int64_t>> survivors(morsels.size());
+    std::vector<char> whole(morsels.size(), 0);
+    parallelFor(0, static_cast<std::int64_t>(morsels.size()), 1,
+                [&](std::int64_t m0, std::int64_t m1) {
+        ConjunctKernel::Scratch scratch;
+        BitVector acc, mask;
+        for (std::int64_t m = m0; m < m1; ++m) {
+            auto [b, e] = morsels[m];
+            whole[m] = run_morsel(b, e, scratch, acc, mask, survivors[m]);
+        }
+    });
+    std::int64_t total = 0;
+    for (std::size_t m = 0; m < morsels.size(); ++m) {
+        total += whole[m] ? morsels[m].second - morsels[m].first
+                          : static_cast<std::int64_t>(survivors[m].size());
     }
+    if (total == sel.size())
+        return; // every row survives: selection unchanged
+    std::vector<std::int64_t> next;
+    next.reserve(total);
+    for (std::size_t m = 0; m < morsels.size(); ++m) {
+        if (!whole[m]) {
+            next.insert(next.end(), survivors[m].begin(),
+                        survivors[m].end());
+            continue;
+        }
+        for (std::int64_t pos = morsels[m].first;
+             pos < morsels[m].second; ++pos)
+            next.push_back(sel[pos]);
+    }
+    sel.assign(std::move(next));
 }
 
 } // namespace aquoman

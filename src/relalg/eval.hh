@@ -49,10 +49,19 @@ RelColumn evalExprSel(const ExprPtr &e, const RelTable &input,
 void splitAndConjuncts(const ExprPtr &e, std::vector<ExprPtr> &out);
 
 /**
- * Shrink @p sel to the rows of @p input passing @p pred, evaluating
- * conjunct by conjunct so later conjuncts only see survivors. The
- * resulting selection is exactly the ascending pass set evalPredicate
- * would produce over the rows @p sel selects.
+ * The Row Selector both engines filter through: shrink @p sel to the
+ * rows of @p input passing @p pred, evaluating conjunct by conjunct so
+ * later conjuncts only see survivors. The resulting selection is
+ * exactly the ascending pass set evalPredicate would produce over the
+ * rows @p sel selects, for any thread count.
+ *
+ * The batched path cuts @p sel into morsels of 16K positions and runs
+ * them under parallelFor: each morsel AND-folds its cheap compiled
+ * conjuncts word-wise while still dense, then applies the rest over
+ * its shrinking survivors, and morsel survivor lists are concatenated
+ * in order. AQUOMAN_BATCH=0 runs the serial reference path instead.
+ * @p sel, not @p input, carries the row count, so a predicate with no
+ * column references may be filtered over a column-less @p input.
  */
 void filterSelection(const ExprPtr &pred, const RelTable &input,
                      SelectionVector &sel);

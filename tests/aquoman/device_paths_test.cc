@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "aquoman/device.hh"
+#include "common/batch_mode.hh"
 #include "common/rng.hh"
 
 namespace aquoman {
@@ -166,6 +167,35 @@ TEST_F(DevicePathsTest, SemiAndAntiWithResidualOnDevice)
             << got.stats.hostStages[0].second;
         EXPECT_EQ(got.result.col("n").get(0), want.col("n").get(0));
     }
+}
+
+TEST_F(DevicePathsTest, ConstantFilterAndJoinResidualOnDevice)
+{
+    // Predicates with no column references pass or drop every tuple on
+    // the device, in both batch modes, and match the host engine.
+    const bool batch_before = batchExecutionEnabled();
+    auto count = [](PlanPtr p) {
+        return groupBy(p, {}, {{"n", AggKind::Count, nullptr}});
+    };
+    for (bool batch : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "batch=" << batch);
+        setBatchExecutionEnabled(batch);
+        for (ExprPtr pred : {eq(lit(1), lit(1)), lt(lit(2), lit(1))}) {
+            PlanPtr filtered = count(filter(scan("events"), pred));
+            PlanPtr joined = count(join(JoinType::Inner, scan("events"),
+                                        scan("codes"), {"e_code"},
+                                        {"c_code"}, pred));
+            for (const PlanPtr &plan : {filtered, joined}) {
+                Query q{"const", {{"out", plan}}};
+                RelTable want = baseline(q);
+                OffloadedQueryResult got = device(q);
+                ASSERT_TRUE(got.stats.hostStages.empty())
+                    << got.stats.hostStages[0].second;
+                EXPECT_EQ(canon(got.result), canon(want));
+            }
+        }
+    }
+    setBatchExecutionEnabled(batch_before);
 }
 
 TEST_F(DevicePathsTest, RegexAcceleratorInsideTransform)

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/batch_mode.hh"
 #include "engine/executor.hh"
 
 namespace aquoman {
@@ -230,6 +231,35 @@ TEST_F(ExecutorTest, CrossJoinBroadcastWithResidual)
     // Prices are 10.00..109.00 uniform; about half exceed the mean.
     EXPECT_GT(out.numRows(), 40);
     EXPECT_LT(out.numRows(), 60);
+}
+
+TEST_F(ExecutorTest, ConstantFilterAndJoinResidual)
+{
+    // Predicates with no column references pass or drop every row, in
+    // both batch modes.
+    const bool batch_before = batchExecutionEnabled();
+    for (bool batch : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "batch=" << batch);
+        setBatchExecutionEnabled(batch);
+        Executor ex(catalog);
+        auto filtered = [&](ExprPtr pred) {
+            return ex.runPlan(filter(scan("sales_transactions"), pred), {})
+                .numRows();
+        };
+        EXPECT_EQ(filtered(eq(lit(1), lit(1))), 100);
+        EXPECT_EQ(filtered(lt(lit(2), lit(1))), 0);
+        auto joined = [&](ExprPtr residual) {
+            return ex.runPlan(join(JoinType::Inner,
+                                   scan("sales_transactions"),
+                                   scan("inventory", "i"), {"invtID"},
+                                   {"i.invtID"}, residual),
+                              {})
+                .numRows();
+        };
+        EXPECT_EQ(joined(eq(lit(1), lit(1))), 100);
+        EXPECT_EQ(joined(lt(lit(2), lit(1))), 0);
+    }
+    setBatchExecutionEnabled(batch_before);
 }
 
 TEST_F(ExecutorTest, MetricsAccumulate)

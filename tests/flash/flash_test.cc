@@ -106,16 +106,6 @@ TEST(FlashDeviceTest, ExtentsDoNotOverlap)
     EXPECT_NE(a.firstPage, b.firstPage);
 }
 
-TEST(FlashConfigTest, SequentialTimingModel)
-{
-    FlashConfig cfg;
-    // Streaming 2.4GB takes ~1s at 2.4GB/s.
-    EXPECT_NEAR(cfg.sequentialReadTime(2'400'000'000ll), 1.0, 0.01);
-    EXPECT_EQ(cfg.sequentialReadTime(0), 0.0);
-    // Writes are slower (800MB/s).
-    EXPECT_NEAR(cfg.sequentialWriteTime(800'000'000ll), 1.0, 0.01);
-}
-
 TEST(ControllerSwitchTest, PerPortAccounting)
 {
     FlashDevice dev(smallConfig());

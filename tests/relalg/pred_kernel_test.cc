@@ -3,7 +3,9 @@
  * Differential tests for ConjunctKernel: every compiled mask must be
  * bit-identical to the evalPredicate oracle over the same rows, across
  * the (compare op × operand shape × type promotion) matrix, with
- * NULL-heavy data and dense, sub-range and sparse selections.
+ * NULL-heavy data and dense, sub-range and sparse selections. The same
+ * oracle checks filterSelection, the Row Selector built on them, in
+ * both batch modes and at one and four threads.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +13,9 @@
 #include <random>
 #include <vector>
 
+#include "common/batch_mode.hh"
 #include "common/simd.hh"
+#include "common/thread_pool.hh"
 #include "relalg/eval.hh"
 #include "relalg/plan.hh"
 #include "relalg/pred_kernel.hh"
@@ -236,6 +240,138 @@ TEST(PredKernelTest, Avx2AndScalarPathsAreBitIdentical)
         for (std::int64_t w = 0; w < with_avx2.numWords(); ++w)
             ASSERT_EQ(with_avx2.word(w), without.word(w)) << "word " << w;
     }
+}
+
+/**
+ * filterSelection runs under both batch modes and two pool sizes; the
+ * fixture restores the process defaults whatever a case sets.
+ */
+class FilterSelectionTest : public ::testing::Test
+{
+  protected:
+    void
+    TearDown() override
+    {
+        ThreadPool::setGlobalParallelism(
+            ThreadPool::configuredParallelism());
+        const char *env = std::getenv("AQUOMAN_BATCH");
+        setBatchExecutionEnabled(env == nullptr
+                                 || std::string_view(env) != "0");
+    }
+
+    /** Run @p check once per (batch mode, pool size) combination. */
+    template <typename Fn>
+    void
+    forEachMode(Fn check)
+    {
+        for (bool batch : {true, false}) {
+            for (int threads : {1, 4}) {
+                SCOPED_TRACE(testing::Message() << "batch=" << batch
+                             << " threads=" << threads);
+                setBatchExecutionEnabled(batch);
+                ThreadPool::setGlobalParallelism(threads);
+                check();
+            }
+        }
+    }
+
+    /** The rows of @p sel passing @p pred per evalPredicate, ascending. */
+    static std::vector<std::int64_t>
+    oracle(const ExprPtr &pred, const RelTable &t,
+           const SelectionVector &sel)
+    {
+        BitVector pass = evalPredicate(pred, t);
+        std::vector<std::int64_t> out;
+        for (std::int64_t i = 0; i < sel.size(); ++i)
+            if (pass.get(sel[i]))
+                out.push_back(sel[i]);
+        return out;
+    }
+};
+
+/**
+ * Multi-conjunct predicates: cheap compares the batched path AND-folds,
+ * arithmetic kernels, and LIKE / IN / OR / constant conjuncts that fall
+ * back to the reference evaluator.
+ */
+std::vector<ExprPtr>
+selectorPredicates()
+{
+    return {
+        andE(gt(col("a"), lit(-200)), lt(col("b"), lit(30))),
+        andE(andE(gt(add(col("a"), col("b")), lit(10)),
+                  le(col("d"), litDec("55.25"))),
+             ne(col("i32"), lit(3))),
+        andE(like(col("s"), "%ev%"), gt(col("a"), lit(0))),
+        andE(inList(col("b"), {1, 2, 3, -4, 10}),
+             lt(col("dt"), litDate("2001-01-01"))),
+        andE(orE(lt(col("a"), lit(-500)), gt(col("e"), lit(2))),
+             ge(col("a"), lit(-900))),
+        andE(lt(col("a"), lit(0)), eq(lit(1), lit(1))),
+        eq(col("a"), lit(kNullValue)),
+    };
+}
+
+TEST_F(FilterSelectionTest, MatchesEvalPredicateOnDenseAndSparseInputs)
+{
+    // Sizes straddle the 32-row mask words and the 16K-row morsels.
+    for (std::int64_t rows : {1, 31, 33, 16384, 16385, 40001}) {
+        RelTable t = makeTable(rows, static_cast<unsigned>(rows));
+        std::mt19937_64 rng(rows);
+        std::vector<std::int64_t> some;
+        for (std::int64_t r = 1; r < rows; ++r)
+            if (rng() % 3 != 0)
+                some.push_back(r);
+        for (const SelectionVector &in :
+             {SelectionVector::dense(rows), SelectionVector::sparse(some)}) {
+            const std::vector<ExprPtr> preds = selectorPredicates();
+            for (std::size_t i = 0; i < preds.size(); ++i) {
+                const ExprPtr &p = preds[i];
+                SCOPED_TRACE(testing::Message() << "rows=" << rows
+                             << " dense=" << in.isDense()
+                             << " predicate #" << i);
+                std::vector<std::int64_t> want = oracle(p, t, in);
+                forEachMode([&] {
+                    SelectionVector sel = in;
+                    filterSelection(p, t, sel);
+                    ASSERT_EQ(sel.toIndices(), want);
+                });
+            }
+        }
+    }
+}
+
+TEST_F(FilterSelectionTest, PredicateWithoutColumnsUsesSelectionRowCount)
+{
+    // No column references: the input has no columns (so no rows of
+    // its own) and the selection alone sizes the verdict.
+    RelTable none;
+    const std::int64_t rows = 40001;
+    forEachMode([&] {
+        SelectionVector keep = SelectionVector::dense(rows);
+        filterSelection(andE(eq(lit(1), lit(1)), le(lit(2), lit(3))),
+                        none, keep);
+        EXPECT_TRUE(keep.isDense());
+        EXPECT_EQ(keep.size(), rows);
+        SelectionVector drop = SelectionVector::dense(rows);
+        filterSelection(lt(lit(2), lit(1)), none, drop);
+        EXPECT_TRUE(drop.empty());
+        SelectionVector drop_null = SelectionVector::dense(rows);
+        filterSelection(inList(lit(kNullValue), {1, 2}), none, drop_null);
+        EXPECT_TRUE(drop_null.empty());
+    });
+}
+
+TEST_F(FilterSelectionTest, ZeroRowInputStaysEmpty)
+{
+    RelTable t = makeTable(0, 1);
+    forEachMode([&] {
+        for (const ExprPtr &p : selectorPredicates()) {
+            SelectionVector sel = SelectionVector::dense(0);
+            filterSelection(p, t, sel);
+            EXPECT_TRUE(sel.empty());
+        }
+    });
 }
 
 } // namespace
