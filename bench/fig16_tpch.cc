@@ -282,7 +282,7 @@ main(int argc, char **argv)
                 "(paper ~60%%, ~3x reduction)\n",
                 max_dev, 100.0 * (1.0 - sum_avg_laq / sum_avg_l));
 
-    header("Fig 16(c): %% runtime on AQUOMAN and x86 CPU-cycle saving "
+    header("Fig 16(c): % runtime on AQUOMAN and x86 CPU-cycle saving "
            "(system L)");
     StatTable tbl_c(5, {{"run time %", 14, 1}, {"cpu saving %", 14, 1}},
                     9);

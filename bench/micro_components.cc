@@ -339,17 +339,23 @@ codecInput(ColumnCodec codec, std::int64_t n)
     return v;
 }
 
+/** The input must actually exercise the codec under test. */
+bool
+selectsCodec(const ColumnEncoding &enc, ColumnCodec codec)
+{
+    std::int64_t hits = 0;
+    for (const EncodedPage &p : enc.pages)
+        hits += p.codec == codec ? p.rows : 0;
+    return hits * 2 >= enc.rows;
+}
+
 void
 decodeBench(benchmark::State &state, ColumnCodec codec)
 {
     const std::int64_t n = state.range(0);
     std::vector<std::int64_t> vals = codecInput(codec, n);
     ColumnEncoding enc = encodeValues(vals.data(), n, 8);
-    // The input must actually exercise the codec under test.
-    std::int64_t hits = 0;
-    for (const EncodedPage &p : enc.pages)
-        hits += p.codec == codec ? p.rows : 0;
-    if (hits * 2 < n) {
+    if (!selectsCodec(enc, codec)) {
         state.SkipWithError("input did not select intended codec");
         return;
     }
@@ -386,6 +392,49 @@ BM_DecodeFor(benchmark::State &state)
     decodeBench(state, ColumnCodec::For);
 }
 BENCHMARK(BM_DecodeFor)->Arg(1 << 20);
+
+/**
+ * The encoder on the same inputs: page fill, codec choice and payload
+ * packing, in logical (int64) bytes per second. This is the kernel
+ * behind every table install (TableStore, ShardedTableStore).
+ */
+void
+encodeBench(benchmark::State &state, ColumnCodec codec)
+{
+    const std::int64_t n = state.range(0);
+    std::vector<std::int64_t> vals = codecInput(codec, n);
+    if (!selectsCodec(encodeValues(vals.data(), n, 8), codec)) {
+        state.SkipWithError("input did not select intended codec");
+        return;
+    }
+    for (auto _ : state) {
+        ColumnEncoding enc = encodeValues(vals.data(), n, 8);
+        benchmark::DoNotOptimize(enc.pages.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * n * 8);
+}
+
+void
+BM_EncodeDict(benchmark::State &state)
+{
+    encodeBench(state, ColumnCodec::Dict);
+}
+BENCHMARK(BM_EncodeDict)->Arg(1 << 20);
+
+void
+BM_EncodeRle(benchmark::State &state)
+{
+    encodeBench(state, ColumnCodec::Rle);
+}
+BENCHMARK(BM_EncodeRle)->Arg(1 << 20);
+
+void
+BM_EncodeFor(benchmark::State &state)
+{
+    encodeBench(state, ColumnCodec::For);
+}
+BENCHMARK(BM_EncodeFor)->Arg(1 << 20);
 
 void
 BM_EncodedPredicate(benchmark::State &state)

@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <unordered_set>
 #include <vector>
 
 #include "common/logging.hh"
@@ -192,19 +191,51 @@ packedBytes(std::int64_t rows, int bits)
     return (rows * bits + 7) / 8;
 }
 
-/** Append @p bits low bits of @p v to a LSB-first bit stream. */
-inline void
-putBits(std::vector<std::uint8_t> &out, std::int64_t &bitpos,
-        std::uint64_t v, int bits)
+/**
+ * LSB-first bit packer, the encode twin of getBitsFast: fields are
+ * OR-ed into a 64-bit accumulator that leaves for the stream a whole
+ * word at a time. Writes exactly packedBytes(fields, bits) bytes.
+ */
+class BitPacker
 {
-    for (int i = 0; i < bits; ++i, ++bitpos) {
-        if ((bitpos >> 3) >= static_cast<std::int64_t>(out.size()))
-            out.push_back(0);
-        if ((v >> i) & 1)
-            out[bitpos >> 3] |= static_cast<std::uint8_t>(
-                1u << (bitpos & 7));
+  public:
+    explicit BitPacker(std::vector<std::uint8_t> &out) : out_(out) {}
+
+    /** Append the low @p bits (1..63) of @p v; higher bits must be 0. */
+    void
+    put(std::uint64_t v, int bits)
+    {
+        acc_ |= v << fill_;
+        fill_ += bits;
+        if (fill_ >= 64) {
+            putWord(acc_, 8);
+            fill_ -= 64;
+            // The field's spilled high bits; bits < 64 put at least
+            // one bit in the full word, so the shift is in 1..63.
+            acc_ = v >> (bits - fill_);
+        }
     }
-}
+
+    /** Write the partial last word; call once, after the last put. */
+    void
+    flush()
+    {
+        putWord(acc_, (fill_ + 7) / 8);
+    }
+
+  private:
+    void
+    putWord(std::uint64_t w, int bytes)
+    {
+        std::size_t at = out_.size();
+        out_.resize(at + bytes);
+        std::memcpy(out_.data() + at, &w, bytes);
+    }
+
+    std::vector<std::uint8_t> &out_;
+    std::uint64_t acc_ = 0;
+    int fill_ = 0;
+};
 
 inline std::uint64_t
 getBits(const std::uint8_t *p, std::int64_t bitpos, int bits)
@@ -264,7 +295,61 @@ getScalar(const std::uint8_t *p)
     return v;
 }
 
-/** Incremental per-page statistics driving the codec choice. */
+/**
+ * Set of the non-null values seen on the page being filled: flat open
+ * addressing, sized once per column and emptied per page by bumping a
+ * generation stamp, so no insert allocates. Holds at most the
+ * max_values it was sized for (the page fill stops inserting past
+ * kMaxDictValues + 1 distinct values).
+ */
+class DistinctSet
+{
+  public:
+    explicit DistinctSet(std::int64_t max_values)
+    {
+        int log2 = 4;
+        while ((std::int64_t{1} << log2) < 2 * max_values)
+            ++log2;
+        shift_ = 64 - log2;
+        slots_.resize(std::size_t{1} << log2);
+    }
+
+    void clear() { ++gen_; }
+
+    /** Insert @p v; true when it was not yet in the set. */
+    bool
+    insert(std::int64_t v)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = (static_cast<std::uint64_t>(v)
+                         * 0x9e3779b97f4a7c15ull) >> shift_;
+        for (;; i = (i + 1) & mask) {
+            Slot &s = slots_[i];
+            if (s.gen != gen_) {
+                s = {v, gen_};
+                return true;
+            }
+            if (s.value == v)
+                return false;
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        std::int64_t value = 0;
+        std::uint64_t gen = 0; ///< slot is live when equal to gen_
+    };
+    std::vector<Slot> slots_;
+    int shift_ = 0;
+    std::uint64_t gen_ = 1;
+};
+
+/**
+ * Incremental per-page statistics driving the codec choice: scalars
+ * only, so the page fill seals a 512-row group by plain copy. The
+ * page's distinct values live in the caller's DistinctSet.
+ */
 struct PageStats
 {
     std::int64_t rows = 0;
@@ -273,14 +358,15 @@ struct PageStats
     bool havePrev = false;
     std::int64_t prev = 0;
     PageZone zone;
-    std::unordered_set<std::int64_t> distinct; ///< non-null values
+    /// Distinct non-null values; counting stops past kMaxDictValues.
+    std::int64_t distinct = 0;
     bool dictOverflow = false;
 
     void
-    add(std::int64_t v)
+    add(std::int64_t v, DistinctSet &seen)
     {
-        if (!havePrev || v != prev)
-            ++runs;
+        const bool repeat = havePrev && v == prev;
+        runs += !repeat;
         havePrev = true;
         prev = v;
         ++rows;
@@ -290,14 +376,13 @@ struct PageStats
             zone.nullCount = nulls;
             return;
         }
+        if (repeat)
+            return; // already in the zone and the distinct set
         zone.min = std::min(zone.min, v);
         zone.max = std::max(zone.max, v);
-        if (!dictOverflow) {
-            distinct.insert(v);
-            if (static_cast<std::int64_t>(distinct.size())
-                > kMaxDictValues)
-                dictOverflow = true;
-        }
+        if (!dictOverflow && seen.insert(v)
+            && ++distinct > kMaxDictValues)
+            dictOverflow = true;
     }
 
     bool hasNulls() const { return nulls > 0; }
@@ -326,7 +411,7 @@ struct PageStats
     {
         if (dictOverflow)
             return -1;
-        auto nd = static_cast<std::int64_t>(distinct.size());
+        std::int64_t nd = distinct;
         if (nd == 0)
             nd = 1; // all-null page: one-entry placeholder dict
         int bits = bitsForCount(static_cast<std::uint64_t>(nd));
@@ -369,13 +454,18 @@ struct PageStats
     }
 };
 
-/** Encode rows [r0, r0+stats.rows) of @p vals with @p codec. */
+/**
+ * Encode rows [first_row, first_row + stats.rows) of @p vals with the
+ * smallest codec for @p stats. A Dict page rebuilds its sorted
+ * dictionary from its own values through @p seen, which this clears.
+ */
 inline EncodedPage
 encodePage(const std::int64_t *vals, std::int64_t first_row,
-           const PageStats &stats, ColumnCodec codec, int width)
+           const PageStats &stats, int width, DistinctSet &seen)
 {
     const std::int64_t n = stats.rows;
     const std::int64_t *v = vals + first_row;
+    const auto [codec, size] = stats.best(width);
     EncodedPage page;
     page.codec = codec;
     page.firstRow = first_row;
@@ -383,6 +473,7 @@ encodePage(const std::int64_t *vals, std::int64_t first_row,
     page.zone = stats.zone;
 
     std::vector<std::uint8_t> &out = page.bytes;
+    out.reserve(static_cast<std::size_t>(size));
     std::uint8_t bits = 0;
     std::int64_t param = 0;
     std::vector<std::int64_t> dict;
@@ -394,7 +485,12 @@ encodePage(const std::int64_t *vals, std::int64_t first_row,
         param = stats.runs;
         break;
       case ColumnCodec::Dict: {
-        dict.assign(stats.distinct.begin(), stats.distinct.end());
+        dict.reserve(static_cast<std::size_t>(stats.distinct));
+        seen.clear();
+        for (std::int64_t i = 0; i < n; ++i) {
+            if (v[i] != kEncodedNull && seen.insert(v[i]))
+                dict.push_back(v[i]);
+        }
         std::sort(dict.begin(), dict.end());
         if (dict.empty())
             dict.push_back(0); // all-null placeholder
@@ -461,30 +557,37 @@ encodePage(const std::int64_t *vals, std::int64_t first_row,
       case ColumnCodec::Dict: {
         for (std::int64_t d : dict)
             putScalar<std::int64_t>(out, d);
-        std::int64_t bitpos =
-            static_cast<std::int64_t>(out.size()) * 8;
+        BitPacker pack(out);
         for (std::int64_t i = 0; i < n; ++i) {
             std::uint64_t code = 0;
             if (v[i] != kEncodedNull) {
-                code = static_cast<std::uint64_t>(
-                    std::lower_bound(dict.begin(), dict.end(), v[i])
-                    - dict.begin());
+                // Branch-free lower_bound: shuffled values defeat the
+                // branch predictor of std::lower_bound.
+                const std::int64_t *at = dict.data();
+                for (std::size_t len = dict.size(); len > 1;) {
+                    std::size_t half = len / 2;
+                    at = at[half] < v[i] ? at + half : at;
+                    len -= half;
+                }
+                code = static_cast<std::uint64_t>(at - dict.data())
+                    + (*at < v[i]);
             }
-            putBits(out, bitpos, code, bits);
+            pack.put(code, bits);
         }
+        pack.flush();
         break;
       }
       case ColumnCodec::For: {
-        std::int64_t bitpos =
-            static_cast<std::int64_t>(out.size()) * 8;
+        BitPacker pack(out);
         for (std::int64_t i = 0; i < n; ++i) {
             std::uint64_t delta = 0;
             if (v[i] != kEncodedNull) {
                 delta = static_cast<std::uint64_t>(v[i])
                     - static_cast<std::uint64_t>(param);
             }
-            putBits(out, bitpos, delta, bits);
+            pack.put(delta, bits);
         }
+        pack.flush();
         break;
       }
     }
@@ -508,8 +611,10 @@ encodeValues(const std::int64_t *vals, std::int64_t n, int width,
     using namespace enc_detail;
     ColumnEncoding enc;
     enc.rows = n;
+    DistinctSet seen(std::min(n, kMaxDictValues + 1));
     std::int64_t at = 0;
     while (at < n) {
+        seen.clear();
         PageStats sealed; // stats of the page accepted so far
         PageStats trial;
         std::int64_t taken = 0;
@@ -517,7 +622,7 @@ encodeValues(const std::int64_t *vals, std::int64_t n, int width,
             std::int64_t group = std::min<std::int64_t>(
                 {kGroupRows, n - at - taken, kMaxRowsPerPage - taken});
             for (std::int64_t i = 0; i < group; ++i)
-                trial.add(vals[at + taken + i]);
+                trial.add(vals[at + taken + i], seen);
             if (taken > 0
                 && trial.best(width).second > kFlashPageBytes)
                 break; // the new group would overflow the page
@@ -525,9 +630,7 @@ encodeValues(const std::int64_t *vals, std::int64_t n, int width,
             taken += group;
         }
         AQ_ASSERT(taken > 0, "page fill made no progress");
-        auto [codec, size] = sealed.best(width);
-        (void)size;
-        EncodedPage page = encodePage(vals, at, sealed, codec, width);
+        EncodedPage page = encodePage(vals, at, sealed, width, seen);
         page.firstRow = first_row + at;
         enc.encodedBytes += static_cast<std::int64_t>(
             page.bytes.size());
@@ -540,7 +643,10 @@ encodeValues(const std::int64_t *vals, std::int64_t n, int width,
 /**
  * Decode one page block produced by encodeValues back into int64
  * values (appended to @p out). Exact inverse of the encoder for every
- * input, nulls (kEncodedNull) included.
+ * input, nulls (kEncodedNull) included. The block comes back from
+ * flash, so it is checked before use: header fields, that the payload
+ * fits in @p len, each RLE run before it is written and each dict
+ * code. A malformed block throws PanicError.
  */
 inline void
 decodePage(const std::uint8_t *p, std::size_t len,
@@ -549,17 +655,51 @@ decodePage(const std::uint8_t *p, std::size_t len,
     using namespace enc_detail;
     AQ_ASSERT(len >= static_cast<std::size_t>(kHeaderBytes),
               "page block shorter than its header");
+    AQ_ASSERT(p[0] <= static_cast<std::uint8_t>(ColumnCodec::For),
+              "unknown page codec ", static_cast<int>(p[0]));
+    AQ_ASSERT(p[2] <= 1 && p[3] == 0, "corrupt page header flags");
     auto codec = static_cast<ColumnCodec>(p[0]);
     int bits = p[1];
     bool has_nulls = p[2] != 0;
     std::int64_t n = getScalar<std::uint32_t>(p + 4);
     std::int64_t param = getScalar<std::int64_t>(p + 8);
-    const std::uint8_t *cursor = p + kHeaderBytes;
-    const std::uint8_t *bitmap = nullptr;
-    if (has_nulls) {
-        bitmap = cursor;
-        cursor += (n + 7) / 8;
+    AQ_ASSERT(n <= kMaxRowsPerPage, "page block claims ", n, " rows");
+    const std::int64_t bitmap_bytes = has_nulls ? (n + 7) / 8 : 0;
+    // Payload bytes present, and the payload bytes the header implies.
+    const std::int64_t avail =
+        static_cast<std::int64_t>(len) - kHeaderBytes - bitmap_bytes;
+    std::int64_t need = 0;
+    switch (codec) {
+      case ColumnCodec::Raw:
+        AQ_ASSERT(bits == 32 || bits == 64, "raw page of ", bits,
+                  "-bit values");
+        need = n * (bits / 8);
+        break;
+      case ColumnCodec::Rle:
+        AQ_ASSERT(param >= 0
+                      && param <= std::max<std::int64_t>(avail, 0) / 12,
+                  "RLE page claims ", param, " runs");
+        need = param * 12;
+        break;
+      case ColumnCodec::Dict:
+        AQ_ASSERT(bits >= 1 && bits < 64, "dict page of ", bits,
+                  "-bit codes");
+        AQ_ASSERT(param >= 1
+                      && param <= std::max<std::int64_t>(avail, 0) / 8,
+                  "dict page claims ", param, " entries");
+        need = param * 8 + packedBytes(n, bits);
+        break;
+      case ColumnCodec::For:
+        AQ_ASSERT(bits >= 1 && bits < 64, "FOR page of ", bits,
+                  "-bit deltas");
+        need = packedBytes(n, bits);
+        break;
     }
+    AQ_ASSERT(need <= avail, "page payload overruns the ", len,
+              "-byte block");
+
+    const std::uint8_t *bitmap = has_nulls ? p + kHeaderBytes : nullptr;
+    const std::uint8_t *cursor = p + kHeaderBytes + bitmap_bytes;
     auto is_null = [&](std::int64_t i) {
         return bitmap && ((bitmap[i >> 3] >> (i & 7)) & 1);
     };
@@ -584,8 +724,10 @@ decodePage(const std::uint8_t *p, std::size_t len,
             auto v = getScalar<std::int64_t>(cursor);
             auto cnt = getScalar<std::uint32_t>(cursor + 8);
             cursor += 12;
-            for (std::uint32_t k = 0; k < cnt; ++k)
-                dst[i++] = v;
+            AQ_ASSERT(cnt <= n - i, "RLE runs overrun the page's ", n,
+                      " rows");
+            std::fill(dst + i, dst + i + cnt, v);
+            i += cnt;
         }
         AQ_ASSERT(i == n, "RLE run counts disagree with page rows");
         break;
@@ -593,24 +735,23 @@ decodePage(const std::uint8_t *p, std::size_t len,
       case ColumnCodec::Dict: {
         const std::uint8_t *dict = cursor;
         const std::uint8_t *codes = cursor + param * 8;
-        std::int64_t fast = fastUnpackCount(
-            n, bits, static_cast<std::int64_t>(len) - (codes - p));
+        auto entry = [&](std::uint64_t code) {
+            AQ_ASSERT(code < static_cast<std::uint64_t>(param),
+                      "dict code ", code, " past the ", param,
+                      "-entry dictionary");
+            return getScalar<std::int64_t>(
+                dict + static_cast<std::int64_t>(code) * 8);
+        };
+        std::int64_t fast = fastUnpackCount(n, bits, avail - param * 8);
         std::int64_t bitpos = 0;
-        for (std::int64_t i = 0; i < fast; ++i, bitpos += bits) {
-            auto code = getBitsFast(codes, bitpos, bits);
-            dst[i] = getScalar<std::int64_t>(
-                dict + static_cast<std::int64_t>(code) * 8);
-        }
-        for (std::int64_t i = fast; i < n; ++i, bitpos += bits) {
-            auto code = getBits(codes, bitpos, bits);
-            dst[i] = getScalar<std::int64_t>(
-                dict + static_cast<std::int64_t>(code) * 8);
-        }
+        for (std::int64_t i = 0; i < fast; ++i, bitpos += bits)
+            dst[i] = entry(getBitsFast(codes, bitpos, bits));
+        for (std::int64_t i = fast; i < n; ++i, bitpos += bits)
+            dst[i] = entry(getBits(codes, bitpos, bits));
         break;
       }
       case ColumnCodec::For: {
-        std::int64_t fast = fastUnpackCount(
-            n, bits, static_cast<std::int64_t>(len) - (cursor - p));
+        std::int64_t fast = fastUnpackCount(n, bits, avail);
         std::int64_t bitpos = 0;
         for (std::int64_t i = 0; i < fast; ++i, bitpos += bits) {
             dst[i] = static_cast<std::int64_t>(
